@@ -1,16 +1,19 @@
 // Performance microbenchmarks (google-benchmark) for the numerical and
 // simulation hot paths: point capacities, disc quadrature, the shadowed
 // concurrency expectation, the U-statistic optimal-MAC estimator, the
-// event queue, and a saturated DCF second.
+// event queue, one transmitter's medium fan-out, and a saturated DCF
+// second.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
 #include "bench/common.hpp"
+#include "src/capacity/error_models.hpp"
 #include "src/capacity/rate_table.hpp"
 #include "src/core/expected.hpp"
 #include "src/core/policies.hpp"
+#include "src/mac/medium.hpp"
 #include "src/mac/multi_pair.hpp"
 #include "src/mac/network.hpp"
 #include "src/sim/simulator.hpp"
@@ -292,6 +295,47 @@ void medium_dense_args(benchmark::internal::Benchmark* b) {
     tune(b);
 }
 BENCHMARK(bm_medium_dense)->Apply(medium_dense_args);
+
+/// Listener for bm_medium_fanout: counts CCA flips, otherwise inert.
+struct counting_listener final : mac::medium_listener {
+    std::uint64_t flips = 0;
+    void on_energy_busy(bool) override { ++flips; }
+    void on_preamble(const mac::frame&, double, sim::time_us) override {}
+    void on_frame_received(const mac::frame&, double, double, bool) override {}
+    void on_tx_complete(const mac::frame&) override {}
+};
+
+void bm_medium_fanout(benchmark::State& state) {
+    // The medium rung of the perf ladder, with no MAC above it: one
+    // transmitter and k listeners on the neighbor-culled medium, each
+    // hearing it at -100 dBm - above the audibility floor, so every
+    // listener sits in the transmitter's CSR row, but below both the
+    // CCA threshold and the preamble sensitivity, so nothing flips,
+    // locks or decodes. One iteration is one frame's full round: the
+    // start's row pass, a CCA sample of the row, the end's row pass and
+    // another CCA sample.
+    const auto listeners = static_cast<mac::node_id>(state.range(0));
+    sim::simulator simulator;
+    mac::radio_config radio;
+    radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;
+    const capacity::logistic_per_model errors;
+    mac::medium air(simulator, radio, errors, 1);
+    counting_listener listener;
+    for (mac::node_id n = 0; n <= listeners; ++n) air.add_node(listener);
+    for (mac::node_id n = 1; n <= listeners; ++n) {
+        air.set_link_gain_db(0, n, -100.0 - radio.tx_power_dbm);
+    }
+    mac::frame f;
+    f.src = 0;
+    f.bytes = 100;
+    f.rate = &capacity::rate_by_mbps(54.0);
+    for (auto _ : state) {
+        air.start_transmission(0, f, true);
+        simulator.run_all();
+    }
+    benchmark::DoNotOptimize(listener.flips);
+}
+BENCHMARK(bm_medium_fanout)->Arg(16)->Arg(64)->Arg(256)->Apply(tune);
 
 void bm_dcf_simulated_second(benchmark::State& state) {
     const auto& rate = capacity::rate_by_mbps(24.0);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/propagation/units.hpp"
-
 namespace csense::mac {
 
 using capacity::ofdm_timing;
@@ -16,14 +14,15 @@ constexpr sim::time_us timeout_margin_us = 10.0;
 
 dcf_node::dcf_node(sim::simulator& sim, medium& med, mac_config config,
                    std::uint64_t seed, dcf_hot_state* hot)
-    : sim_(sim), medium_(med), config_(config), id_(med.add_node(*this)),
+    : sim_(sim), medium_(med), config_(config),
+      id_(med.add_node(*this, med.radio().cs_threshold_dbm +
+                                  config.cs_threshold_offset_db)),
       rng_(seed), control_rate_(&capacity::rate_by_mbps(6.0)),
       hot_(hot != nullptr ? hot : &own_hot_) {
     if (config_.cw_min < 1 || config_.cw_max < config_.cw_min) {
         throw std::invalid_argument("dcf_node: bad contention window");
     }
     hot_->cw = config_.cw_min;
-    hot_->last_external_power_dbm = med.radio().noise_floor_dbm;
 }
 
 dcf_node::~dcf_node() {
@@ -321,15 +320,11 @@ void dcf_node::note_unicast_outcome(bool delivered) {
 }
 
 double dcf_node::cs_threshold_dbm() const {
-    return cs_threshold_override_dbm_.has_value()
-               ? *cs_threshold_override_dbm_
-               : medium_.radio().cs_threshold_dbm +
-                     config_.cs_threshold_offset_db;
+    return medium_.cca_threshold_dbm(id_);
 }
 
 void dcf_node::set_cs_threshold_dbm(double threshold_dbm) {
-    cs_threshold_override_dbm_ = threshold_dbm;
-    apply_energy_busy(hot_->last_external_power_dbm >= threshold_dbm);
+    medium_.set_cca_threshold_dbm(id_, threshold_dbm);
 }
 
 sim::time_us dcf_node::energy_busy_time_us() const {
@@ -337,23 +332,10 @@ sim::time_us dcf_node::energy_busy_time_us() const {
 }
 
 double dcf_node::external_power_integral_mw_us() const {
-    if (!config_.adapt.enabled()) return power_integral_mw_us_;  // stays 0
-    return power_integral_mw_us_ +
-           propagation::dbm_to_mw(hot_->last_external_power_dbm) *
-               (sim_.now() - power_integral_mark_us_);
+    return medium_.external_power_integral_mw_us(id_);
 }
 
-void dcf_node::account_external_power(double external_power_dbm) {
-    const sim::time_us now = sim_.now();
-    power_integral_mw_us_ +=
-        propagation::dbm_to_mw(hot_->last_external_power_dbm) *
-        (now - power_integral_mark_us_);
-    power_integral_mark_us_ = now;
-    hot_->last_external_power_dbm = external_power_dbm;
-}
-
-void dcf_node::apply_energy_busy(bool busy) {
-    if (busy == hot_->energy_busy) return;
+void dcf_node::on_energy_busy(bool busy) {
     const sim::time_us now = sim_.now();
     if (busy) {
         hot_->busy_since = now;
@@ -365,18 +347,6 @@ void dcf_node::apply_energy_busy(bool busy) {
         ++stats_.defer_events;
     }
     reevaluate();
-}
-
-void dcf_node::on_channel_update(double external_power_dbm) {
-    // The sensed-power integral feeds only the adaptive-CS controllers;
-    // skip its per-update dBm->mW conversion when this node does not
-    // adapt, so non-adaptive runs pay nothing in this hot callback.
-    if (config_.adapt.enabled()) {
-        account_external_power(external_power_dbm);
-    } else {
-        hot_->last_external_power_dbm = external_power_dbm;
-    }
-    apply_energy_busy(external_power_dbm >= cs_threshold_dbm());
 }
 
 void dcf_node::on_preamble(const frame&, double, sim::time_us until) {

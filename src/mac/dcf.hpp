@@ -100,16 +100,18 @@ public:
     /// destination (static config or triggered heuristic).
     bool rts_active() const;
 
-    /// Effective energy-detection threshold in dBm: the adaptive
-    /// override when one is installed, else the radio default plus this
-    /// node's calibration offset.
+    /// Effective energy-detection threshold in dBm, as the medium holds
+    /// it (medium::cca_threshold_dbm): the radio default plus this
+    /// node's calibration offset until an override is installed.
     double cs_threshold_dbm() const;
 
     /// Install a per-node threshold override (the adaptive-carrier-sense
-    /// hook; see src/mac/adaptive_cs.hpp). The energy-busy state is
-    /// recomputed against the last observed external power immediately,
-    /// so a threshold step mid-backoff behaves exactly like a channel
-    /// power change.
+    /// hook; see src/mac/adaptive_cs.hpp). The medium re-judges the
+    /// energy-busy state against this node's last CCA sample
+    /// immediately, so a threshold step mid-backoff behaves exactly like
+    /// a channel power change. Throws std::invalid_argument when the
+    /// medium rejects the threshold (neighbor-culled mode: at or below
+    /// the audibility floor); the previous threshold then stays.
     void set_cs_threshold_dbm(double threshold_dbm);
 
     /// Cumulative time this node's CCA has reported energy-busy, up to
@@ -117,15 +119,15 @@ public:
     /// busy-time-fraction input of the adaptive controllers.
     sim::time_us energy_busy_time_us() const;
 
-    /// Time integral of the observed external power (mW x us) up to the
-    /// current instant. An epoch delta divided by the epoch length is
-    /// the mean sensed interference power (noise floor included). Only
-    /// accumulated while this node's adaptation is enabled
-    /// (mac_config::adapt) - non-adaptive nodes skip the bookkeeping.
+    /// Time integral of the CCA-sampled external power (mW x us, noise
+    /// floor included) up to the current instant, as the medium keeps
+    /// it for every node (medium::external_power_integral_mw_us). An
+    /// epoch delta divided by the epoch length is the mean sensed
+    /// interference power.
     double external_power_integral_mw_us() const;
 
     // medium_listener interface.
-    void on_channel_update(double external_power_dbm) override;
+    void on_energy_busy(bool busy) override;
     void on_preamble(const frame& f, double rx_power_dbm,
                      sim::time_us until) override;
     void on_frame_received(const frame& f, double rx_power_dbm,
@@ -139,8 +141,6 @@ private:
 
     bool sense_enabled() const noexcept;
     bool channel_busy() const;
-    void account_external_power(double external_power_dbm);
-    void apply_energy_busy(bool busy);
     void reevaluate();
     void cancel_timer();
     void schedule_timer(sim::time_us delay, void (dcf_node::*handler)());
@@ -194,12 +194,6 @@ private:
     // packet or per epoch, not per event).
     dcf_hot_state* hot_;
     dcf_hot_state own_hot_;  ///< fallback storage for pool-less nodes
-
-    // Adaptive carrier sense: per-node threshold override plus the
-    // sensed-power accounting the controllers consume (epoch-rate).
-    std::optional<double> cs_threshold_override_dbm_;
-    double power_integral_mw_us_ = 0.0;
-    sim::time_us power_integral_mark_us_ = 0.0;
 
     // Per-packet cold state.
     std::uint64_t frame_sequence_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -14,9 +15,27 @@ namespace csense::mac {
 namespace {
 constexpr double very_weak_gain_db = -500.0;
 /// Positive floor for interference computed by subtraction in the
-/// culled path, so mw_to_dbm never sees a non-positive argument even if
-/// compensated rounding dips below zero.
+/// culled path, so SINR ratios stay finite even if compensated rounding
+/// dips below zero.
 constexpr double min_positive_mw = 1e-300;
+
+/// The smallest power in mW whose dBm reading reaches `threshold_dbm`.
+/// mw_to_dbm is monotone, so `mw >= result` decides exactly as
+/// `mw_to_dbm(mw) >= threshold_dbm` does - the CCA compare stays in mW
+/// without moving any decision by the rounding of the two conversions.
+double cca_threshold_mw(double threshold_dbm) {
+    // 0 mW has no dBm reading, so the search stays above it.
+    constexpr double smallest = std::numeric_limits<double>::denorm_min();
+    double mw = std::max(propagation::dbm_to_mw(threshold_dbm), smallest);
+    while (propagation::mw_to_dbm(mw) < threshold_dbm) {
+        mw = std::nextafter(mw, std::numeric_limits<double>::infinity());
+    }
+    while (mw > smallest &&
+           propagation::mw_to_dbm(std::nextafter(mw, 0.0)) >= threshold_dbm) {
+        mw = std::nextafter(mw, 0.0);
+    }
+    return mw;
+}
 }  // namespace
 
 medium::medium(sim::simulator& sim, radio_config radio,
@@ -30,14 +49,13 @@ medium::medium(sim::simulator& sim, radio_config radio,
             "medium: audibility_floor_dbm must sit below both "
             "preamble_threshold_dbm and cs_threshold_dbm - culling may only "
             "drop power that is negligible for every CCA and preamble "
-            "decision (per-node overrides, e.g. "
-            "cs_adaptation_config::min_threshold_dbm, must be kept above "
-            "the floor by the caller)");
+            "decision");
     }
     noise_mw_ = propagation::dbm_to_mw(radio_.noise_floor_dbm);
     preamble_threshold_mw_ =
         propagation::dbm_to_mw(radio_.preamble_threshold_dbm);
     cs_threshold_mw_ = propagation::dbm_to_mw(radio_.cs_threshold_dbm);
+    capture_ratio_ = propagation::db_to_linear(radio_.preamble_capture_snr_db);
 }
 
 void medium::check_node(node_id n, const char* what) const {
@@ -48,13 +66,11 @@ void medium::check_node(node_id n, const char* what) const {
 
 void medium::reserve_nodes(std::size_t nodes) {
     listeners_.reserve(nodes);
+    cca_.reserve(nodes);
     lock_by_node_.reserve(nodes);
-    last_tx_start_.reserve(nodes);
     tx_flag_by_node_.reserve(nodes);
     active_tx_by_node_.reserve(nodes);
-    if (culled_) {
-        sparse_gains_.reserve(nodes * 8);
-    } else if (nodes > gain_stride_) {
+    if (!culled_ && nodes > gain_stride_) {
         // Pre-size the dense matrix stride so add_node never re-lays it out.
         std::vector<double> grown(nodes * nodes, very_weak_gain_db);
         const std::size_t n = listeners_.size();
@@ -83,14 +99,22 @@ void medium::grow_dense_gains() {
 }
 
 node_id medium::add_node(medium_listener& listener) {
+    return add_node(listener, radio_.cs_threshold_dbm);
+}
+
+node_id medium::add_node(medium_listener& listener, double cca_threshold_dbm) {
     if (frozen_ || !transmissions_.empty()) {
         throw std::logic_error("medium::add_node: topology is frozen once "
                                "transmissions begin");
     }
+    cca_state cca;
+    cca.threshold_mw = checked_cca_threshold_mw(cca_threshold_dbm);
+    cca.threshold_dbm = cca_threshold_dbm;
+    cca.sample_mw = noise_mw_;  // the silent air, until the first sample
     const auto id = static_cast<node_id>(listeners_.size());
     listeners_.push_back(&listener);
+    cca_.push_back(cca);
     lock_by_node_.emplace_back();
-    last_tx_start_.push_back(-1e18);
     tx_flag_by_node_.push_back(0);
     active_tx_by_node_.push_back(-1);
     if (!culled_) grow_dense_gains();
@@ -114,11 +138,31 @@ void medium::set_link_gain_db(node_id a, node_id b, double gain_db) {
                 "medium::set_link_gain_db: neighbor lists are frozen once "
                 "transmissions begin");
         }
-        sparse_gains_[link_key(a, b)] = gain_db;
+        links_.push_back({link_key(a, b), gain_db});
+        links_sorted_ = false;
         return;
     }
     gains_db_[a * gain_stride_ + b] = gain_db;
     gains_db_[b * gain_stride_ + a] = gain_db;
+}
+
+void medium::sort_links() const {
+    if (links_sorted_) return;
+    // Stable, so repeated writes of one link stay in call order and the
+    // last of each run is the one to keep.
+    std::stable_sort(links_.begin(), links_.end(),
+                     [](const link_entry& x, const link_entry& y) {
+                         return x.key < y.key;
+                     });
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+        if (i + 1 < links_.size() && links_[i + 1].key == links_[i].key) {
+            continue;
+        }
+        links_[kept++] = links_[i];
+    }
+    links_.resize(kept);
+    links_sorted_ = true;
 }
 
 double medium::link_gain_db(node_id a, node_id b) const {
@@ -127,8 +171,13 @@ double medium::link_gain_db(node_id a, node_id b) const {
         throw std::invalid_argument("medium::link_gain_db: bad link");
     }
     if (culled_) {
-        const auto it = sparse_gains_.find(link_key(a, b));
-        return it != sparse_gains_.end() ? it->second : very_weak_gain_db;
+        sort_links();
+        const std::uint64_t key = link_key(a, b);
+        const auto it = std::lower_bound(
+            links_.begin(), links_.end(), key,
+            [](const link_entry& link, std::uint64_t k) { return link.key < k; });
+        return it != links_.end() && it->key == key ? it->gain_db
+                                                    : very_weak_gain_db;
     }
     return gains_db_[a * gain_stride_ + b];
 }
@@ -156,6 +205,7 @@ std::size_t medium::neighbor_count(node_id n) const {
 void medium::freeze_topology() {
     frozen_ = true;
     if (!culled_) return;
+    sort_links();
     const std::size_t n = listeners_.size();
     nbr_offset_.assign(n + 1, 0);
     // Fading can lift a link above its mean: keep every link whose
@@ -167,14 +217,10 @@ void medium::freeze_topology() {
     const auto audible = [&](double gain_db) {
         return radio_.tx_power_dbm + gain_db >= effective_floor_dbm;
     };
-    // csense-lint: allow(unordered-iteration) -- pure degree counting:
-    // each link bumps two integer counters, so the fold is order-free.
-    for (const auto& [key, gain] : sparse_gains_) {
-        if (!audible(gain)) continue;
-        const auto a = static_cast<std::size_t>(key >> 32);
-        const auto b = static_cast<std::size_t>(key & 0xffffffffULL);
-        ++nbr_offset_[a + 1];
-        ++nbr_offset_[b + 1];
+    for (const link_entry& link : links_) {
+        if (!audible(link.gain_db)) continue;
+        ++nbr_offset_[(link.key >> 32) + 1];
+        ++nbr_offset_[(link.key & 0xffffffffULL) + 1];
     }
     std::partial_sum(nbr_offset_.begin(), nbr_offset_.end(),
                      nbr_offset_.begin());
@@ -182,36 +228,22 @@ void medium::freeze_topology() {
     nbr_rx_mw_.resize(nbr_offset_[n]);
     std::vector<std::uint32_t> cursor(nbr_offset_.begin(),
                                       nbr_offset_.end() - 1);
-    // csense-lint: allow(unordered-iteration) -- CSR fill in hash order
-    // is safe because every row is re-sorted by neighbor id below, so
-    // the frozen lists are a function of the topology alone.
-    for (const auto& [key, gain] : sparse_gains_) {
-        if (!audible(gain)) continue;
-        const auto a = static_cast<node_id>(key >> 32);
-        const auto b = static_cast<node_id>(key & 0xffffffffULL);
+    // Filling in key order leaves every row sorted by neighbor id: row v
+    // first receives its lower-id neighbors u (keys (u, v), ascending u),
+    // then its higher-id ones w (keys (v, w), ascending w). Fan-out order
+    // - and with it fading draws and delivery callbacks - is therefore a
+    // function of the topology alone.
+    for (const link_entry& link : links_) {
+        if (!audible(link.gain_db)) continue;
+        const auto a = static_cast<node_id>(link.key >> 32);
+        const auto b = static_cast<node_id>(link.key & 0xffffffffULL);
         // rx power is symmetric: common tx power plus the symmetric gain.
-        const double mw = propagation::dbm_to_mw(radio_.tx_power_dbm + gain);
+        const double mw =
+            propagation::dbm_to_mw(radio_.tx_power_dbm + link.gain_db);
         nbr_id_[cursor[a]] = b;
         nbr_rx_mw_[cursor[a]++] = mw;
         nbr_id_[cursor[b]] = a;
         nbr_rx_mw_[cursor[b]++] = mw;
-    }
-    // Sort each row by neighbor id (the map iterates in hash order) so
-    // fan-out order - and with it fading draws and delivery callbacks -
-    // is a function of the topology alone.
-    std::vector<std::pair<node_id, double>> row;
-    for (std::size_t v = 0; v < n; ++v) {
-        const std::size_t begin = nbr_offset_[v];
-        const std::size_t end = nbr_offset_[v + 1];
-        row.clear();
-        for (std::size_t s = begin; s < end; ++s) {
-            row.emplace_back(nbr_id_[s], nbr_rx_mw_[s]);
-        }
-        std::sort(row.begin(), row.end());
-        for (std::size_t s = begin; s < end; ++s) {
-            nbr_id_[s] = row[s - begin].first;
-            nbr_rx_mw_[s] = row[s - begin].second;
-        }
     }
     ext_mw_.assign(n, stats::kahan_sum{});
     audible_count_.assign(n, 0);
@@ -255,6 +287,54 @@ double medium::external_power_dbm(node_id n) const {
     return propagation::mw_to_dbm(external_power_mw(n));
 }
 
+double medium::checked_cca_threshold_mw(double threshold_dbm) const {
+    if (std::isnan(threshold_dbm)) {
+        throw std::invalid_argument("medium: CCA threshold is NaN");
+    }
+    if (culled_ && threshold_dbm <= radio_.audibility_floor_dbm) {
+        throw std::invalid_argument(
+            "medium: a CCA threshold must sit above audibility_floor_dbm - "
+            "at or below it the node is deaf to culled power that should "
+            "count (got " + std::to_string(threshold_dbm) + " dBm)");
+    }
+    return cca_threshold_mw(threshold_dbm);
+}
+
+void medium::set_cca_threshold_dbm(node_id n, double threshold_dbm) {
+    check_node(n, "medium::set_cca_threshold_dbm");
+    cca_[n].threshold_mw = checked_cca_threshold_mw(threshold_dbm);
+    cca_[n].threshold_dbm = threshold_dbm;
+    cca_judge(n);
+}
+
+double medium::cca_threshold_dbm(node_id n) const {
+    check_node(n, "medium::cca_threshold_dbm");
+    return cca_[n].threshold_dbm;
+}
+
+double medium::external_power_integral_mw_us(node_id n) const {
+    check_node(n, "medium::external_power_integral_mw_us");
+    const cca_state& c = cca_[n];
+    return c.integral_mw_us + c.sample_mw * (sim_.now() - c.mark_us);
+}
+
+void medium::cca_sample(node_id n, double power_mw) {
+    cca_state& c = cca_[n];
+    const sim::time_us now = sim_.now();
+    c.integral_mw_us += c.sample_mw * (now - c.mark_us);
+    c.mark_us = now;
+    c.sample_mw = power_mw;
+    cca_judge(n);
+}
+
+void medium::cca_judge(node_id n) {
+    cca_state& c = cca_[n];
+    const bool busy = c.sample_mw >= c.threshold_mw;
+    if (busy == c.busy) return;
+    c.busy = busy;
+    listeners_[n]->on_energy_busy(busy);
+}
+
 double medium::interference_mw(node_id rx, std::size_t locked_tx) const {
     // Dense path only; the culled path derives interference from the
     // incremental sum minus the locked signal at its call sites.
@@ -272,23 +352,22 @@ double medium::interference_mw(node_id rx, std::size_t locked_tx) const {
 
 void medium::update_reception_sinrs() {
     for (auto& lock : lock_by_node_) {
-        if (!lock || !lock->active) continue;
+        if (!lock) continue;
         const double interference = interference_mw(lock->rx, lock->tx_index);
         const double sinr_db =
             propagation::mw_to_dbm(lock->signal_mw) -
             propagation::mw_to_dbm(interference);
-        lock->min_sinr_db = std::min(lock->min_sinr_db, sinr_db);
+        lock->min_sinr = std::min(lock->min_sinr, sinr_db);
     }
 }
 
 void medium::update_all_channel_states() {
-    // Clear-channel assessment takes time: nodes learn about a power
-    // change cca_delay_us after it happens, and see the power as it is
-    // *then*. The stale window is what permits slot collisions.
+    // Clear-channel assessment takes time: nodes sample a power change
+    // cca_delay_us after it happens, and see the power as it is *then*.
+    // The stale window is what permits slot collisions.
     sim_.schedule_in(radio_.cca_delay_us, [this] {
         for (node_id n = 0; n < listeners_.size(); ++n) {
-            listeners_[n]->on_channel_update(
-                propagation::mw_to_dbm(external_power_mw(n)));
+            cca_sample(n, external_power_mw(n));
         }
     });
 }
@@ -296,15 +375,14 @@ void medium::update_all_channel_states() {
 void medium::notify_neighbors_after_cca(node_id src) {
     // Culled counterpart of update_all_channel_states: only the audible
     // neighbors of the changed transmitter saw any power move, so only
-    // they are notified. Same CCA staleness: the power is read when the
-    // callback fires, not when the change happened.
+    // they are sampled. Same CCA staleness: the power is read when the
+    // sample fires, not when the change happened.
     sim_.schedule_in(radio_.cca_delay_us, [this, src] {
         const std::size_t begin = nbr_offset_[src];
         const std::size_t end = nbr_offset_[src + 1];
         for (std::size_t s = begin; s < end; ++s) {
             const node_id n = nbr_id_[s];
-            listeners_[n]->on_channel_update(
-                propagation::mw_to_dbm(culled_external_mw(n)));
+            cca_sample(n, culled_external_mw(n));
         }
     });
 }
@@ -332,7 +410,7 @@ void medium::try_lock_receivers(std::size_t tx_index) {
         if (!lock_by_node_[n]) {
             lock_by_node_[n] = reception{tx_index, n,
                                          propagation::dbm_to_mw(power_dbm),
-                                         sinr_db, true};
+                                         sinr_db};
         }
     }
 }
@@ -406,20 +484,15 @@ void medium::start_transmission(node_id src, const frame& f,
             ++counters_.chain_collisions;
         }
     }
-    last_tx_start_[src] = now;
 
     // A transmitter abandons any reception in progress.
-    if (lock_by_node_[src] && lock_by_node_[src]->active) {
-        lock_by_node_[src]->active = false;
-        lock_by_node_[src].reset();
-    }
+    lock_by_node_[src].reset();
 
     transmission t;
     t.f = f;
     t.src = src;
     t.start = now;
     t.end = now + f.airtime_us();
-    t.active = true;
     if (radio_.fading_sigma_db > 0.0) {
         if (culled_) {
             // Fade draws only for the audible neighbors, in row (node-id)
@@ -452,46 +525,38 @@ void medium::start_transmission(node_id src, const frame& f,
         const double* row = row_rx_mw(added);
         const std::size_t begin = nbr_offset_[src];
         const std::size_t end = nbr_offset_[src + 1];
-        // Incremental power accounting: this frame's rx power joins each
-        // neighbor's running external sum.
+        // One pass in row order. At each neighbor the frame's power joins
+        // the running external sum, hits any reception in progress as
+        // new interference, and then offers the neighbor a lock.
         for (std::size_t s = begin; s < end; ++s) {
             const node_id n = nbr_id_[s];
-            ext_mw_[n].add(row[s - begin]);
-            ++audible_count_[n];
-        }
-        // New interference hits ongoing receptions at the neighbors.
-        for (std::size_t s = begin; s < end; ++s) {
-            auto& lock = lock_by_node_[nbr_id_[s]];
-            if (!lock || !lock->active) continue;
-            const double interference = std::max(
-                culled_external_mw(lock->rx) - lock->signal_mw,
-                min_positive_mw);
-            const double sinr_db = propagation::mw_to_dbm(lock->signal_mw) -
-                                   propagation::mw_to_dbm(interference);
-            lock->min_sinr_db = std::min(lock->min_sinr_db, sinr_db);
-        }
-        // Then candidate neighbors may lock onto this frame.
-        for (std::size_t s = begin; s < end; ++s) {
-            const node_id n = nbr_id_[s];
-            if (tx_flag_by_node_[n] != 0) continue;  // deaf while transmitting
             const double power_mw = row[s - begin];
+            ext_mw_[n].add(power_mw);
+            ++audible_count_[n];
+            const double external_mw = culled_external_mw(n);
+            auto& lock = lock_by_node_[n];
+            if (lock) {
+                const double interference = std::max(
+                    external_mw - lock->signal_mw, min_positive_mw);
+                lock->min_sinr =
+                    std::min(lock->min_sinr, lock->signal_mw / interference);
+            }
+            if (tx_flag_by_node_[n] != 0) continue;  // deaf while transmitting
             if (power_mw < preamble_threshold_mw_) continue;
-            const double interference = std::max(
-                culled_external_mw(n) - power_mw, min_positive_mw);
-            const double power_dbm = propagation::mw_to_dbm(power_mw);
-            const double sinr_db =
-                power_dbm - propagation::mw_to_dbm(interference);
-            if (sinr_db < radio_.preamble_capture_snr_db) continue;
+            const double interference =
+                std::max(external_mw - power_mw, min_positive_mw);
+            if (power_mw < capture_ratio_ * interference) continue;
             medium_listener* listener = listeners_[n];
             const frame announced = added.f;
+            const double power_dbm = propagation::mw_to_dbm(power_mw);
             const sim::time_us until = added.end;
             sim_.schedule_in(radio_.cca_delay_us,
                              [listener, announced, power_dbm, until] {
                                  listener->on_preamble(announced, power_dbm,
                                                        until);
                              });
-            if (!lock_by_node_[n]) {
-                lock_by_node_[n] = reception{index, n, power_mw, sinr_db, true};
+            if (!lock) {
+                lock = reception{index, n, power_mw, power_mw / interference};
             }
         }
         notify_neighbors_after_cca(src);
@@ -524,7 +589,6 @@ void medium::end_transmission(std::size_t tx_index) {
     // which can reallocate transmissions_.
     const frame ended = transmissions_[tx_index].f;
     const node_id src = transmissions_[tx_index].src;
-    transmissions_[tx_index].active = false;
     tx_flag_by_node_[src] = 0;
     active_tx_by_node_[src] = -1;
     --active_count_;
@@ -533,6 +597,13 @@ void medium::end_transmission(std::size_t tx_index) {
     // so the member scratch is free here.
     std::vector<delivery>& deliveries = delivery_scratch_;
     deliveries.clear();
+    const auto settle = [&](const reception& lock, double sinr_db) {
+        const double per =
+            errors_.packet_error_rate(*ended.rate, sinr_db, ended.bytes);
+        const bool decoded = rng_.uniform() >= per;
+        deliveries.push_back({lock.rx, propagation::mw_to_dbm(lock.signal_mw),
+                              sinr_db, decoded});
+    };
 
     if (culled_) {
         // Swap-erase: active order only feeds the exact refresh, whose
@@ -545,6 +616,10 @@ void medium::end_transmission(std::size_t tx_index) {
         const double* row = row_rx_mw(t);
         const std::size_t begin = nbr_offset_[src];
         const std::size_t end = nbr_offset_[src + 1];
+        // One pass in row order: the frame's power leaves each neighbor's
+        // sum, and a reception locked to it settles. Only audible
+        // neighbors can hold such a lock (locking requires power above
+        // the preamble sensitivity, which sits above the floor).
         for (std::size_t s = begin; s < end; ++s) {
             const node_id n = nbr_id_[s];
             ext_mw_[n].sub(row[s - begin]);
@@ -553,20 +628,9 @@ void medium::end_transmission(std::size_t tx_index) {
                 // so drop any accumulated rounding with it.
                 ext_mw_[n].reset();
             }
-        }
-        // Settle receptions locked to this frame: only audible neighbors
-        // can hold one (locking requires power above the preamble
-        // sensitivity, which sits above the audibility floor).
-        for (std::size_t s = begin; s < end; ++s) {
-            auto& lock = lock_by_node_[nbr_id_[s]];
-            if (!lock || !lock->active || lock->tx_index != tx_index) continue;
-            lock->active = false;
-            const double per = errors_.packet_error_rate(
-                *ended.rate, lock->min_sinr_db, ended.bytes);
-            const bool decoded = rng_.uniform() >= per;
-            deliveries.push_back({lock->rx,
-                                  propagation::mw_to_dbm(lock->signal_mw),
-                                  lock->min_sinr_db, decoded});
+            auto& lock = lock_by_node_[n];
+            if (!lock || lock->tx_index != tx_index) continue;
+            settle(*lock, propagation::linear_to_db(lock->min_sinr));
             lock.reset();
         }
         // Interference relief never lowers a min-SINR, so the legacy
@@ -577,7 +641,7 @@ void medium::end_transmission(std::size_t tx_index) {
             ends_since_refresh_ = 0;
         }
         for (const auto& d : deliveries) {
-            listeners_[d.rx]->on_frame_received(ended, d.power_dbm, d.sinr,
+            listeners_[d.rx]->on_frame_received(ended, d.power_dbm, d.sinr_db,
                                                 d.decoded);
         }
         notify_neighbors_after_cca(src);
@@ -589,19 +653,14 @@ void medium::end_transmission(std::size_t tx_index) {
     std::erase(active_tx_, tx_index);
     // Settle receptions locked to this frame.
     for (auto& lock : lock_by_node_) {
-        if (!lock || !lock->active || lock->tx_index != tx_index) continue;
-        lock->active = false;
-        const double per = errors_.packet_error_rate(
-            *ended.rate, lock->min_sinr_db, ended.bytes);
-        const bool decoded = rng_.uniform() >= per;
-        deliveries.push_back({lock->rx, propagation::mw_to_dbm(lock->signal_mw),
-                              lock->min_sinr_db, decoded});
+        if (!lock || lock->tx_index != tx_index) continue;
+        settle(*lock, lock->min_sinr);
         lock.reset();
     }
     // Interference relief for everyone else, then deliver.
     update_reception_sinrs();
     for (const auto& d : deliveries) {
-        listeners_[d.rx]->on_frame_received(ended, d.power_dbm, d.sinr,
+        listeners_[d.rx]->on_frame_received(ended, d.power_dbm, d.sinr_db,
                                             d.decoded);
     }
     update_all_channel_states();

@@ -1,5 +1,6 @@
 // The shared wireless medium: link gains, active transmissions,
-// SINR-tracked receptions, and carrier-sense power notifications.
+// SINR-tracked receptions, and the energy-detect clear-channel
+// assessment (CCA) of every node.
 //
 // Reception model (matching the thesis' §4 hardware notes):
 //  - a receiver locks onto a frame at preamble time if it is not
@@ -13,28 +14,39 @@
 //  - nodes that are transmitting hear nothing - the root of the
 //    "chain collision" pathology for preamble-based carrier sense.
 //
-// Scaling model (PR 5): the medium runs in one of two modes, selected
-// by radio_config::audibility_floor_dbm.
+// Energy-detect CCA lives here, not in the nodes. Each node registers
+// its threshold, which the medium holds in mW next to the node's last
+// CCA sample of external power and its busy bit. A power change is
+// sampled cca_delay_us later (the stale window behind slot
+// collisions); the sample is compared in mW and the node hears
+// medium_listener::on_energy_busy only when its busy bit flips. The
+// medium also integrates each node's sampled power over time (mW x us)
+// for the adaptive carrier-sense controllers.
+//
+// Scaling model: the medium runs in one of two modes, selected by
+// radio_config::audibility_floor_dbm. Both share the CCA compare.
 //  - Dense (floor disabled, the default): every power change re-sums
 //    all active transmitters for every listener - O(N) listeners x O(A)
-//    transmitters per event. Byte-identical to the pre-culling
-//    implementation; all historical scenarios run here.
+//    transmitters per event - in dB arithmetic. Byte-identical to the
+//    pre-culling implementation; all historical scenarios run here.
 //  - Neighbor-culled (floor set): links whose received power falls
-//    below the floor are treated as exactly zero. The topology freezes
-//    into per-node audibility neighbor lists (CSR) at the first
+//    below the floor are treated as exactly zero. Link gains go into an
+//    append-only table that is sorted once; the topology freezes into
+//    per-node audibility neighbor lists (CSR) at the first
 //    transmission, per-transmission neighbor rx powers are precomputed
 //    in mW, and each node carries an incremental Kahan-compensated
-//    running external-power sum updated on tx start/end - so channel
-//    updates, preamble fan-out, and SINR tracking touch only audible
-//    neighbors: O(k) per event, independent of N. An exact reset
-//    whenever a node's audible set empties plus a periodic exact
-//    refresh (radio_config::power_refresh_interval) keep the
-//    incremental sums drift-free and deterministic.
+//    running external-power sum updated on tx start/end. A start or an
+//    end is one pass over the transmitter's CSR row, and SINR is
+//    tracked as a linear ratio, converted to dB once per reception at
+//    the PER lookup - so every event is O(k) audible neighbors,
+//    independent of N. An exact reset whenever a node's audible set
+//    empties plus a periodic exact refresh
+//    (radio_config::power_refresh_interval) keep the incremental sums
+//    drift-free and deterministic.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/capacity/error_models.hpp"
@@ -51,8 +63,11 @@ class medium_listener {
 public:
     virtual ~medium_listener() = default;
 
-    /// Total external (not self-generated) power at this node changed.
-    virtual void on_channel_update(double external_power_dbm) = 0;
+    /// This node's energy-detect CCA flipped: `busy` is true when its
+    /// last CCA sample of external power reached its threshold. Called
+    /// only on a flip - after a CCA sample, or synchronously from
+    /// medium::set_cca_threshold_dbm - never to repeat the current state.
+    virtual void on_energy_busy(bool busy) = 0;
 
     /// A decodable preamble passed by (node idle or locked, power above
     /// sensitivity). `until` is the frame's scheduled end time.
@@ -83,12 +98,17 @@ class medium {
 public:
     /// Throws std::invalid_argument when the audibility floor is enabled
     /// but not below the preamble sensitivity (culling must only drop
-    /// power that is negligible for every CCA decision).
+    /// power that is negligible for every CCA and preamble decision).
     medium(sim::simulator& sim, radio_config radio,
            const capacity::error_model& errors, std::uint64_t seed);
 
-    /// Register a node; ids must be assigned densely from 0.
+    /// Register a node; ids must be assigned densely from 0. The node's
+    /// CCA threshold starts at `cca_threshold_dbm` (radio().
+    /// cs_threshold_dbm when omitted) and its CCA reads idle until the
+    /// first sample. Throws std::invalid_argument, registering nothing,
+    /// when the threshold is rejected (see set_cca_threshold_dbm).
     node_id add_node(medium_listener& listener);
+    node_id add_node(medium_listener& listener, double cca_threshold_dbm);
 
     /// Pre-size internal per-node storage for `nodes` registrations.
     /// Purely an allocation hint - results never depend on it.
@@ -96,7 +116,8 @@ public:
 
     std::size_t node_count() const noexcept { return listeners_.size(); }
 
-    /// Symmetric link gain in dB (negative; rx = tx_power + gain).
+    /// Symmetric link gain in dB (negative; rx = tx_power + gain). A
+    /// repeated call for the same link replaces the earlier gain.
     /// Throws std::invalid_argument on an unknown node id or a == b, and
     /// std::logic_error when setting a gain after the topology froze in
     /// neighbor-culled mode.
@@ -119,6 +140,26 @@ public:
     /// Total external power at a node right now, in dBm (noise floor when
     /// the air is silent).
     double external_power_dbm(node_id n) const;
+
+    /// Move node `n`'s energy-detect CCA threshold. The busy state is
+    /// re-judged at once against the node's last CCA sample - not the
+    /// live power, which the node has not sensed yet - and a flip is
+    /// reported synchronously through on_energy_busy. Throws
+    /// std::invalid_argument on an unknown node id, a NaN threshold, or,
+    /// in neighbor-culled mode, a threshold at or below the audibility
+    /// floor (the node would be deaf to culled power that should count).
+    void set_cca_threshold_dbm(node_id n, double threshold_dbm);
+
+    /// Node `n`'s current energy-detect CCA threshold in dBm, as last
+    /// registered (add_node or set_cca_threshold_dbm). Throws
+    /// std::invalid_argument on an unknown node id.
+    double cca_threshold_dbm(node_id n) const;
+
+    /// Time integral of node `n`'s CCA-sampled external power, noise
+    /// floor included, from time 0 to now (mW x us). The power holds its
+    /// last sampled value between samples. An epoch delta divided by the
+    /// epoch length is the mean sensed interference power.
+    double external_power_integral_mw_us(node_id n) const;
 
     const medium_counters& counters() const noexcept { return counters_; }
     const radio_config& radio() const noexcept { return radio_; }
@@ -144,7 +185,6 @@ private:
         node_id src;
         sim::time_us start;
         sim::time_us end;
-        bool active = true;
         /// Dense mode: per-receiver fading (dB) frozen for this frame;
         /// empty when fading is disabled.
         std::vector<double> fade_db;
@@ -158,14 +198,38 @@ private:
         std::size_t tx_index;   ///< into transmissions_
         node_id rx;
         double signal_mw;
-        double min_sinr_db;
-        bool active = true;
+        /// Worst SINR so far: a linear ratio in culled mode, dB in dense
+        /// mode (the dense path keeps its byte-pinned dB arithmetic).
+        double min_sinr;
+    };
+
+    /// One node's energy-detect CCA, compared in mW.
+    struct cca_state {
+        double threshold_dbm = 0.0;  ///< as registered
+        double threshold_mw = 0.0;   ///< smallest power that reads busy
+        double sample_mw = 0.0;     ///< last CCA-sampled external power
+        double integral_mw_us = 0.0;  ///< sampled power integrated to mark_us
+        sim::time_us mark_us = 0.0;   ///< time of the last sample
+        bool busy = false;
+    };
+
+    /// One set_link_gain_db call (culled mode), keyed by link_key.
+    struct link_entry {
+        std::uint64_t key;
+        double gain_db;
     };
 
     void check_node(node_id n, const char* what) const;
+    /// Validated threshold in mW; see set_cca_threshold_dbm.
+    double checked_cca_threshold_mw(double threshold_dbm) const;
+    /// A CCA sample of node n's external power: integrate the previous
+    /// sample up to now, then judge the new one.
+    void cca_sample(node_id n, double power_mw);
+    /// Compare n's last sample with its threshold; report a flip.
+    void cca_judge(node_id n);
     /// Culled mode: noise floor plus the clamped incremental sum - the
     /// one definition of external power behind every culled read
-    /// (public accessor, CCA notifications, interference subtraction).
+    /// (public accessor, CCA samples, interference subtraction).
     double culled_external_mw(node_id n) const;
     void end_transmission(std::size_t tx_index);
     void update_all_channel_states();
@@ -182,6 +246,9 @@ private:
     void grow_dense_gains();
     // Neighbor-culled machinery.
     static std::uint64_t link_key(node_id a, node_id b) noexcept;
+    /// Sort links_ by key, keeping each key's last write. Runs at the
+    /// first lookup after a write and at the freeze.
+    void sort_links() const;
     void freeze_topology();
     /// Per-slot rx power (mW) of a transmission over its CSR row.
     const double* row_rx_mw(const transmission& t) const;
@@ -193,15 +260,19 @@ private:
     const capacity::error_model& errors_;
     stats::rng rng_;
     std::vector<medium_listener*> listeners_;
+    std::vector<cca_state> cca_;
 
     // Dense mode: node_count^2 gain matrix over a power-of-two-ish
     // stride so add_node growth is amortized O(N^2) total, not O(N^3).
     std::vector<double> gains_db_;
     std::size_t gain_stride_ = 0;
 
-    // Culled mode: sparse symmetric gains keyed by (min, max) node id;
+    // Culled mode: symmetric gains keyed by (min, max) node id, appended
+    // per call and sorted lazily (a lookup may come before the freeze,
+    // e.g. a controller reading its link's rx power, hence mutable);
     // stays authoritative for link_gain_db after the freeze.
-    std::unordered_map<std::uint64_t, double> sparse_gains_;
+    mutable std::vector<link_entry> links_;
+    mutable bool links_sorted_ = true;
     bool culled_ = false;
     bool frozen_ = false;
     // CSR audibility neighbor lists, built at freeze time: row n holds
@@ -220,16 +291,17 @@ private:
     struct delivery {
         node_id rx;
         double power_dbm;
-        double sinr;
+        double sinr_db;
         bool decoded;
     };
     /// Reused by end_transmission: capacity reaches its high-water mark
     /// once, then the per-event hot path allocates nothing.
     std::vector<delivery> delivery_scratch_;
-    // Thresholds precomputed in mW so hot loops compare linearly.
+    // Thresholds precomputed in linear units so hot loops never leave mW.
     double noise_mw_ = 0.0;
     double preamble_threshold_mw_ = 0.0;
     double cs_threshold_mw_ = 0.0;
+    double capture_ratio_ = 0.0;  ///< preamble_capture_snr_db, linear
 
     std::vector<transmission> transmissions_;
     std::vector<std::size_t> active_tx_;        ///< indices of active entries
@@ -237,7 +309,6 @@ private:
     std::vector<std::int64_t> active_tx_by_node_;  ///< transmissions_ index,
                                                    ///< -1 when off air
     std::vector<std::optional<reception>> lock_by_node_;
-    std::vector<sim::time_us> last_tx_start_;
     std::size_t active_count_ = 0;
     medium_counters counters_;
 };

@@ -152,10 +152,9 @@ multi_pair_result run_multi_pair(const multi_pair_topology& topology,
     }
     if (config.radio.audibility_enabled() && config.adapt.enabled() &&
         config.adapt.min_threshold_dbm <= config.radio.audibility_floor_dbm) {
-        // The medium validates the global thresholds itself but cannot
-        // see per-node override ranges; an adaptive clamp below the
-        // floor would let controllers deafen nodes to carriers the
-        // culled medium models as exact silence.
+        // The medium refuses each per-node threshold at or below the
+        // floor only when a controller installs it; checking the
+        // adaptive clamp here fails before any simulation time is spent.
         throw std::invalid_argument(
             "run_multi_pair: adapt.min_threshold_dbm must stay above "
             "radio.audibility_floor_dbm");

@@ -35,11 +35,12 @@ enum class dcf_state : std::uint8_t {
 
 /// The per-event working set of one DCF node: channel-sense state,
 /// contention counters, and the timer generation. Exactly 64 bytes.
+/// The sensed power itself lives in the medium, which owns the CCA
+/// decision and reports only busy/idle flips.
 struct dcf_hot_state {
     // Channel state.
     sim::time_us preamble_busy_until = 0.0;
     sim::time_us nav_until = 0.0;
-    double last_external_power_dbm = -200.0;  ///< noise floor at ctor
     sim::time_us busy_since = 0.0;
     sim::time_us busy_accum_us = 0.0;
     // Contention / timer state.
@@ -51,6 +52,7 @@ struct dcf_hot_state {
     bool energy_busy = false;
     bool have_packet = false;
     bool difs_done = false;
+    std::array<std::uint8_t, 8> padding{};  ///< fills the cache line
 };
 
 static_assert(sizeof(dcf_hot_state) == 64,

@@ -53,11 +53,15 @@ struct radio_config {
     /// `culled_residual_*_dbm` metrics). Must sit below preamble_threshold_dbm
     /// and below every carrier-sense threshold the run can reach, or
     /// culling would change CCA/preamble semantics rather than just
-    /// dropping negligible power; the medium constructor enforces this
-    /// against preamble_threshold_dbm and cs_threshold_dbm, and callers
-    /// installing per-node overrides (cs_adaptation_config::
-    /// min_threshold_dbm, mac_config::cs_threshold_offset_db) must keep
-    /// them above the floor too. Default: disabled (dense medium,
+    /// dropping negligible power. The medium enforces this: its
+    /// constructor checks preamble_threshold_dbm and cs_threshold_dbm,
+    /// and every per-node threshold it is handed (the
+    /// mac_config::cs_threshold_offset_db a node registers with, and
+    /// each dcf_node::set_cs_threshold_dbm override an adaptive
+    /// controller installs) is rejected with std::invalid_argument at or
+    /// below the floor. run_multi_pair also checks
+    /// cs_adaptation_config::min_threshold_dbm up front, before any
+    /// simulation time is spent. Default: disabled (dense medium,
     /// byte-identical to the pre-culling implementation).
     double audibility_floor_dbm = audibility_floor_disabled_dbm;
 

@@ -4,16 +4,23 @@
 //    reception holds must never dangle across a compaction);
 //  - a transmitter abandons any reception in progress, the abandoned
 //    frame is not delivered, and the receiver's lock state resets so it
-//    can lock onto later frames.
+//    can lock onto later frames;
+//  - the medium-side energy-detect CCA: listeners hear busy/idle flips
+//    only, a threshold step is judged against the last CCA sample, and
+//    the sensed-power integral and busy time follow the sampled power.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "src/capacity/error_models.hpp"
 #include "src/capacity/rate_table.hpp"
+#include "src/mac/dcf.hpp"
 #include "src/mac/medium.hpp"
 #include "src/mac/network.hpp"
+#include "src/propagation/units.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace {
@@ -26,12 +33,28 @@ using csense::capacity::rate_by_mbps;
 struct recorder final : medium_listener {
     std::vector<std::pair<node_id, bool>> received;  ///< (src, decoded)
 
-    void on_channel_update(double) override {}
+    void on_energy_busy(bool) override {}
     void on_preamble(const frame&, double, sim::time_us) override {}
     void on_frame_received(const frame& f, double, double,
                            bool decoded) override {
         received.emplace_back(f.src, decoded);
     }
+    void on_tx_complete(const frame&) override {}
+};
+
+/// Listener that logs its energy-detect CCA flips with their times.
+struct cca_recorder final : medium_listener {
+    explicit cca_recorder(const sim::simulator& simulator)
+        : simulator(&simulator) {}
+
+    const sim::simulator* simulator;
+    std::vector<std::pair<sim::time_us, bool>> flips;  ///< (time, busy)
+
+    void on_energy_busy(bool busy) override {
+        flips.emplace_back(simulator->now(), busy);
+    }
+    void on_preamble(const frame&, double, sim::time_us) override {}
+    void on_frame_received(const frame&, double, double, bool) override {}
     void on_tx_complete(const frame&) override {}
 };
 
@@ -146,6 +169,129 @@ TEST(Medium, AbandonedFrameStillCountsAsInterferenceElsewhere) {
     EXPECT_FALSE(c.received[0].second)
         << "A's frame must stay on the air as interference at C even "
            "after B abandoned its own reception of it";
+}
+
+TEST(MediumCca, ListenersHearOnlyBusyIdleFlips) {
+    // One frame, two listeners: one hears it above the -82 dBm energy
+    // threshold, one below. The loud one gets exactly busy then idle,
+    // each one CCA lag after the power moved; the quiet one and the
+    // transmitter (its own frame is not external power) hear nothing.
+    // Dense and culled modes share the compare, so both must agree.
+    for (const bool culled : {false, true}) {
+        sim::simulator sim;
+        radio_config radio;
+        if (culled) radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;
+        const capacity::logistic_per_model errors;
+        medium air(sim, radio, errors, 3);
+        cca_recorder tx(sim), loud(sim), quiet(sim);
+        const auto nt = air.add_node(tx);
+        const auto nl = air.add_node(loud);
+        const auto nq = air.add_node(quiet);
+        air.set_link_gain_db(nt, nl, -85.0);   // -70 dBm at the loud node
+        air.set_link_gain_db(nt, nq, -105.0);  // -90 dBm: audible, not busy
+        air.set_link_gain_db(nl, nq, -140.0);
+        const frame f = data_frame(nt, 6.0);
+        sim.schedule_in(0.0, [&] { air.start_transmission(nt, f, true); });
+        sim.run_until(10000.0);
+
+        const double lag = radio.cca_delay_us;
+        ASSERT_EQ(loud.flips.size(), 2u) << "culled " << culled;
+        EXPECT_EQ(loud.flips[0], std::make_pair(lag, true));
+        EXPECT_EQ(loud.flips[1], std::make_pair(f.airtime_us() + lag, false));
+        EXPECT_TRUE(quiet.flips.empty()) << "culled " << culled;
+        EXPECT_TRUE(tx.flips.empty()) << "culled " << culled;
+    }
+}
+
+TEST(MediumCca, ThresholdStepIsJudgedAgainstTheLastSample) {
+    sim::simulator sim;
+    radio_config radio;
+    radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;
+    const capacity::logistic_per_model errors;
+    medium air(sim, radio, errors, 5);
+    cca_recorder tx(sim), rx(sim);
+    const auto nt = air.add_node(tx);
+    const auto nr = air.add_node(rx);
+    air.set_link_gain_db(nt, nr, -85.0);  // -70 dBm at rx
+    sim.schedule_in(0.0, [&] {
+        air.start_transmission(nt, data_frame(nt, 6.0), true);
+    });
+    // Inside the CCA lag the live power is already -70 dBm, but rx has
+    // only sampled the silent air: a -90 dBm threshold must not flip it.
+    sim.schedule_in(2.0, [&] { air.set_cca_threshold_dbm(nr, -90.0); });
+    sim.run_until(3.0);
+    EXPECT_TRUE(rx.flips.empty())
+        << "the step was judged against the live power, not the last sample";
+    sim.run_until(100.0);
+    ASSERT_EQ(rx.flips.size(), 1u);
+    EXPECT_EQ(rx.flips[0], std::make_pair(radio.cca_delay_us, true));
+
+    // Mid-frame, with no new sample: raising the threshold above the
+    // sampled -70 dBm flips rx idle at once, lowering it flips it back.
+    air.set_cca_threshold_dbm(nr, -60.0);
+    ASSERT_EQ(rx.flips.size(), 2u);
+    EXPECT_EQ(rx.flips[1], std::make_pair(100.0, false));
+    air.set_cca_threshold_dbm(nr, -75.0);
+    ASSERT_EQ(rx.flips.size(), 3u);
+    EXPECT_EQ(rx.flips[2], std::make_pair(100.0, true));
+    air.set_cca_threshold_dbm(nr, -72.0);  // still below the sample
+    EXPECT_EQ(rx.flips.size(), 3u) << "a step that keeps the state is silent";
+
+    // The mW compare decides exactly like the dB one: a threshold equal
+    // to the sample's dBm reading is busy, the next double above idle.
+    const double sampled_dbm = air.external_power_dbm(nr);  // no change since
+    air.set_cca_threshold_dbm(
+        nr, std::nextafter(sampled_dbm, std::numeric_limits<double>::infinity()));
+    air.set_cca_threshold_dbm(nr, sampled_dbm);
+    ASSERT_EQ(rx.flips.size(), 5u);
+    EXPECT_FALSE(rx.flips[3].second);
+    EXPECT_TRUE(rx.flips[4].second);
+}
+
+TEST(MediumCca, SensedPowerIntegralAndBusyTimeFollowTheSamples) {
+    // Two frames reach a listening DCF node C: A's at -70 dBm (above
+    // C's -82 dBm threshold) from t = 0, B's at -90 dBm (below it) from
+    // t = 3000 us. Every power change is sampled one CCA lag later and
+    // held until the next sample, so by t = 6000 us the integral is the
+    // noise floor over the whole run plus each frame's power over its
+    // airtime, and C was busy for exactly A's airtime.
+    sim::simulator sim;
+    radio_config radio;
+    radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;
+    const capacity::logistic_per_model errors;
+    medium air(sim, radio, errors, 11);
+    recorder a, b;
+    const auto na = air.add_node(a);
+    const auto nb = air.add_node(b);
+    dcf_node c(sim, air, mac_config{}, 12);
+    const auto nc = c.id();
+    air.set_link_gain_db(na, nc, -85.0);
+    air.set_link_gain_db(nb, nc, -105.0);
+    air.set_link_gain_db(na, nb, -140.0);
+    const frame fa = data_frame(na, 6.0);
+    const frame fb = data_frame(nb, 12.0);
+    sim.schedule_in(0.0, [&] { air.start_transmission(na, fa, true); });
+    sim.schedule_in(3000.0, [&] { air.start_transmission(nb, fb, true); });
+
+    const double noise = propagation::dbm_to_mw(radio.noise_floor_dbm);
+    const double pa = propagation::dbm_to_mw(-70.0);
+    const double pb = propagation::dbm_to_mw(-90.0);
+    const double lag = radio.cca_delay_us;
+    ASSERT_LT(fa.airtime_us() + lag, 3000.0);
+
+    sim.run_until(1000.0);  // mid-frame A: sampled at t = lag
+    EXPECT_NEAR(c.external_power_integral_mw_us(),
+                noise * lag + (noise + pa) * (1000.0 - lag),
+                1e-12 * pa * 1000.0);
+    EXPECT_DOUBLE_EQ(c.energy_busy_time_us(), 1000.0 - lag);
+
+    sim.run_until(6000.0);
+    const double expected =
+        noise * 6000.0 + pa * fa.airtime_us() + pb * fb.airtime_us();
+    EXPECT_NEAR(c.external_power_integral_mw_us(), expected, 1e-12 * expected);
+    EXPECT_NEAR(air.external_power_integral_mw_us(nc), expected,
+                1e-12 * expected);
+    EXPECT_DOUBLE_EQ(c.energy_busy_time_us(), fa.airtime_us());
 }
 
 }  // namespace

@@ -14,8 +14,10 @@
 
 #include "src/capacity/error_models.hpp"
 #include "src/capacity/rate_table.hpp"
+#include "src/mac/adaptive_cs.hpp"
 #include "src/mac/medium.hpp"
 #include "src/mac/multi_pair.hpp"
+#include "src/mac/network.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/stats/rng.hpp"
 
@@ -26,11 +28,11 @@ using namespace csense::mac;
 using csense::capacity::rate_by_mbps;
 
 struct recorder final : medium_listener {
-    int channel_updates = 0;
+    int energy_flips = 0;
     int preambles = 0;
     std::vector<std::pair<node_id, bool>> received;  ///< (src, decoded)
 
-    void on_channel_update(double) override { ++channel_updates; }
+    void on_energy_busy(bool) override { ++energy_flips; }
     void on_preamble(const frame&, double, sim::time_us) override {
         ++preambles;
     }
@@ -92,8 +94,8 @@ TEST(MediumValidation, AudibilityFloorMustSitBelowCcaThresholds) {
 }
 
 TEST(MediumValidation, AdaptiveClampMustStayAboveTheFloor) {
-    // The medium cannot see per-node override ranges, so run_multi_pair
-    // enforces the floor invariant for the adaptive clamp itself.
+    // run_multi_pair rejects an adaptive clamp at or below the floor up
+    // front, before the medium would refuse a controller's install.
     stats::rng gen(4);
     const auto topology = mac::sample_multi_pair_topology(2, 100.0, 10.0, gen);
     multi_pair_config config;
@@ -106,6 +108,87 @@ TEST(MediumValidation, AdaptiveClampMustStayAboveTheFloor) {
     EXPECT_NO_THROW(mac::run_multi_pair(topology, config));
 }
 
+TEST(MediumValidation, PerNodeThresholdsMustStayAboveTheFloor) {
+    // The medium holds every node's CCA threshold, so it rejects one at
+    // or below the floor whichever route installs it - not only the
+    // adaptive clamp run_multi_pair checks up front.
+    radio_config radio;
+    radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;  // -115 dBm
+
+    // A calibration offset that lands the threshold on the floor.
+    network offsets(radio, 1);
+    mac_config on_floor;
+    on_floor.cs_threshold_offset_db =
+        radio.audibility_floor_dbm - radio.cs_threshold_dbm;
+    EXPECT_THROW(offsets.add_node(on_floor), std::invalid_argument);
+    EXPECT_EQ(offsets.node_count(), 0u);
+    EXPECT_EQ(offsets.air().node_count(), 0u);
+    mac_config above;
+    above.cs_threshold_offset_db = on_floor.cs_threshold_offset_db + 1.0;
+    EXPECT_NO_THROW(offsets.add_node(above));
+
+    // A hand-built adaptive manager whose clamp pins the threshold under
+    // the floor: its first install is refused and the old one stays.
+    network adaptive(radio, 2);
+    mac_config sender;
+    sender.adapt.policy = cs_adapt_policy::target_busy;
+    sender.adapt.min_threshold_dbm = radio.audibility_floor_dbm - 5.0;
+    sender.adapt.max_threshold_dbm = radio.audibility_floor_dbm - 5.0;
+    const auto s = adaptive.add_node(sender);
+    const auto r = adaptive.add_node(mac_config{});
+    adaptive.set_link_gain_db(s, r, -60.0);
+    adaptive_cs_manager manager(adaptive, {{s, r}}, 3);
+    EXPECT_THROW(manager.start(), std::invalid_argument);
+    EXPECT_DOUBLE_EQ(adaptive.node(s).cs_threshold_dbm(),
+                     radio.cs_threshold_dbm);
+
+    // Direct overrides: at the floor refused, just above accepted.
+    EXPECT_THROW(adaptive.node(s).set_cs_threshold_dbm(
+                     radio.audibility_floor_dbm),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(adaptive.node(s).set_cs_threshold_dbm(
+        radio.audibility_floor_dbm + 0.5));
+    EXPECT_DOUBLE_EQ(adaptive.node(s).cs_threshold_dbm(),
+                     radio.audibility_floor_dbm + 0.5);
+
+    // Without a floor (dense mode) any threshold is legal.
+    network dense(radio_config{}, 4);
+    const auto d = dense.add_node(on_floor);
+    EXPECT_NO_THROW(dense.node(d).set_cs_threshold_dbm(-130.0));
+}
+
+TEST(MediumCulling, RepeatedLinkGainKeepsTheLastWrite) {
+    sim::simulator sim;
+    radio_config radio;
+    radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;
+    const capacity::logistic_per_model errors;
+    medium air(sim, radio, errors, 7);
+    recorder a, b, c;
+    const auto na = air.add_node(a);
+    const auto nb = air.add_node(b);
+    const auto nc = air.add_node(c);
+    air.set_link_gain_db(na, nb, -65.0);
+    air.set_link_gain_db(na, nc, -70.0);
+    air.set_link_gain_db(nb, na, -60.0);  // same link, reversed ids
+    EXPECT_DOUBLE_EQ(air.link_gain_db(na, nb), -60.0);
+    EXPECT_DOUBLE_EQ(air.link_gain_db(nc, na), -70.0);
+    // A write after a lookup still wins: it culls the a-c link.
+    air.set_link_gain_db(nc, na, -150.0);
+    EXPECT_DOUBLE_EQ(air.link_gain_db(na, nc), -150.0);
+
+    sim.schedule_in(0.0, [&] {
+        air.start_transmission(na, data_frame(na, 6.0), true);
+    });
+    sim.run_until(100.0);
+    EXPECT_DOUBLE_EQ(air.link_gain_db(nb, na), -60.0);
+    EXPECT_DOUBLE_EQ(air.link_gain_db(na, nc), -150.0);
+    EXPECT_EQ(air.neighbor_count(na), 1u) << "a-b must count once";
+    EXPECT_EQ(air.neighbor_count(nb), 1u);
+    EXPECT_EQ(air.neighbor_count(nc), 0u);
+    EXPECT_NEAR(air.external_power_dbm(nb), radio.tx_power_dbm - 60.0, 0.01)
+        << "the frame must reach b at the last-written gain";
+}
+
 TEST(MediumCulling, SubFloorLinksAreCulledAndNeighborsStillServed) {
     sim::simulator sim;
     radio_config radio;
@@ -115,7 +198,9 @@ TEST(MediumCulling, SubFloorLinksAreCulledAndNeighborsStillServed) {
     recorder a, b, c;
     const auto na = air.add_node(a);
     const auto nb = air.add_node(b);
-    const auto nc = air.add_node(c);
+    // c's threshold sits between the floor and the -95 dBm noise floor:
+    // any CCA sample of c - even of the silent air - would flip it busy.
+    const auto nc = air.add_node(c, -100.0);
     air.set_link_gain_db(na, nb, -60.0);   // audible, decodable
     air.set_link_gain_db(na, nc, -140.0);  // -125 dBm rx: below the floor
     air.set_link_gain_db(nb, nc, -140.0);
@@ -138,9 +223,10 @@ TEST(MediumCulling, SubFloorLinksAreCulledAndNeighborsStillServed) {
     ASSERT_EQ(b.received.size(), 1u);
     EXPECT_EQ(b.received[0].first, na);
     EXPECT_TRUE(b.received[0].second);
-    EXPECT_GT(b.channel_updates, 0);
+    EXPECT_EQ(b.energy_flips, 2) << "-45 dBm frame: one busy, one idle flip";
     EXPECT_GT(b.preambles, 0);
-    EXPECT_EQ(c.channel_updates, 0);
+    EXPECT_EQ(c.energy_flips, 0)
+        << "a node outside every neighbor row must never be CCA-sampled";
     EXPECT_EQ(c.preambles, 0);
     EXPECT_TRUE(c.received.empty());
     // When the air went quiet the neighbor's power returned exactly to
