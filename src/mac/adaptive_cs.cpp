@@ -44,8 +44,7 @@ adaptive_cs_controller::adaptive_cs_controller(
       signal_dbm_(signal_dbm),
       noise_dbm_(noise_dbm),
       contenders_(std::max(contenders, 1)),
-      rng_(stream),
-      interference_ewma_mw_(propagation::dbm_to_mw(noise_dbm)) {}
+      rng_(stream) {}
 
 double adaptive_cs_controller::on_epoch(const adaptive_cs_sample& sample) {
     const double w = config_.ewma_weight;
@@ -57,10 +56,6 @@ double adaptive_cs_controller::on_epoch(const adaptive_cs_sample& sample) {
         loss_ewma_ = (1.0 - w) * loss_ewma_ + w * loss;
     }
     goodput_ewma_ = (1.0 - w) * goodput_ewma_ + w * sample.delivered;
-    if (sample.mean_external_power_mw > 0.0) {
-        interference_ewma_mw_ = (1.0 - w) * interference_ewma_mw_ +
-                                w * sample.mean_external_power_mw;
-    }
 
     double threshold = threshold_dbm_;
     switch (config_.policy) {
@@ -145,7 +140,7 @@ adaptive_cs_manager::adaptive_cs_manager(network& net,
                 node.config().adapt, node.cs_threshold_dbm(), signal_dbm,
                 noise_dbm, static_cast<int>(links.size()),
                 base.split(static_cast<std::uint64_t>(link.sender))),
-            0.0, 0.0, 0, 0});
+            0.0, 0, 0});
     }
 }
 
@@ -164,7 +159,6 @@ void adaptive_cs_manager::start() {
     for (auto& state : links_) {
         const auto& sender = net_.node(state.link.sender);
         state.busy_us = sender.energy_busy_time_us();
-        state.power_integral_mw_us = sender.external_power_integral_mw_us();
         state.sent = sender.stats().data_sent;
         state.delivered =
             delivered_from(net_.node(state.link.receiver), state.link.sender);
@@ -181,7 +175,6 @@ void adaptive_cs_manager::on_epoch() {
     for (auto& state : links_) {
         auto& sender = net_.node(state.link.sender);
         const double busy_us = sender.energy_busy_time_us();
-        const double power_integral = sender.external_power_integral_mw_us();
         const std::uint64_t sent = sender.stats().data_sent;
         const std::uint64_t delivered =
             delivered_from(net_.node(state.link.receiver), state.link.sender);
@@ -190,11 +183,8 @@ void adaptive_cs_manager::on_epoch() {
         sample.busy_fraction = (busy_us - state.busy_us) / epoch_us_;
         sample.attempts = static_cast<double>(sent - state.sent);
         sample.delivered = static_cast<double>(delivered - state.delivered);
-        sample.mean_external_power_mw =
-            (power_integral - state.power_integral_mw_us) / epoch_us_;
 
         state.busy_us = busy_us;
-        state.power_integral_mw_us = power_integral;
         state.sent = sent;
         state.delivered = delivered;
 

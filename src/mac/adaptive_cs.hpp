@@ -5,8 +5,8 @@
 // threshold closes most of the gap to optimal scheduling; tab02/abl05
 // compute those tuned thresholds offline. This module feeds the tuning
 // back into the running MAC: each sender keeps EWMA estimates of its
-// sensed busy-time fraction, delivery loss rate, goodput, and mean
-// interference power, and a pluggable policy (cs_adapt_policy in
+// sensed busy-time fraction, delivery loss rate and goodput, and a
+// pluggable policy (cs_adapt_policy in
 // src/mac/wireless_config.hpp) moves the node's effective
 // cs_threshold_dbm once per adaptation epoch through the
 // dcf_node::set_cs_threshold_dbm hook:
@@ -59,7 +59,6 @@ struct adaptive_cs_sample {
     double busy_fraction = 0.0;  ///< share of the epoch the CCA was busy
     double attempts = 0.0;       ///< data frames put on the air
     double delivered = 0.0;      ///< frames decoded at the paired receiver
-    double mean_external_power_mw = 0.0;  ///< sensed power incl. noise floor
 };
 
 /// The per-node control law. Pure state machine: feed it one sample per
@@ -87,13 +86,6 @@ public:
     double loss_ewma() const noexcept { return loss_ewma_; }
     double goodput_ewma() const noexcept { return goodput_ewma_; }
 
-    /// EWMA of the mean sensed power (mW, noise floor included) - a
-    /// diagnostic estimate of the interference the current threshold
-    /// admits; no built-in policy consumes it.
-    double interference_ewma_mw() const noexcept {
-        return interference_ewma_mw_;
-    }
-
 private:
     cs_adaptation_config config_;
     double threshold_dbm_;
@@ -105,7 +97,6 @@ private:
     double busy_ewma_ = 0.0;
     double loss_ewma_ = 0.0;
     double goodput_ewma_ = 0.0;
-    double interference_ewma_mw_ = 0.0;
 };
 
 /// Drives one controller per sender inside a running network: a single
@@ -151,7 +142,6 @@ private:
         adaptive_cs_controller controller;
         // Cumulative counters as of the previous epoch boundary.
         double busy_us = 0.0;
-        double power_integral_mw_us = 0.0;
         std::uint64_t sent = 0;
         std::uint64_t delivered = 0;
     };

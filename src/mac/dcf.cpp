@@ -331,10 +331,6 @@ sim::time_us dcf_node::energy_busy_time_us() const {
     return hot_->busy_accum_us + (hot_->energy_busy ? sim_.now() - hot_->busy_since : 0.0);
 }
 
-double dcf_node::external_power_integral_mw_us() const {
-    return medium_.external_power_integral_mw_us(id_);
-}
-
 void dcf_node::on_energy_busy(bool busy) {
     const sim::time_us now = sim_.now();
     if (busy) {

@@ -119,13 +119,6 @@ public:
     /// busy-time-fraction input of the adaptive controllers.
     sim::time_us energy_busy_time_us() const;
 
-    /// Time integral of the CCA-sampled external power (mW x us, noise
-    /// floor included) up to the current instant, as the medium keeps
-    /// it for every node (medium::external_power_integral_mw_us). An
-    /// epoch delta divided by the epoch length is the mean sensed
-    /// interference power.
-    double external_power_integral_mw_us() const;
-
     // medium_listener interface.
     void on_energy_busy(bool busy) override;
     void on_preamble(const frame& f, double rx_power_dbm,

@@ -20,29 +20,28 @@
 // sampled cca_delay_us later (the stale window behind slot
 // collisions); the sample is compared in mW and the node hears
 // medium_listener::on_energy_busy only when its busy bit flips. The
-// medium also integrates each node's sampled power over time (mW x us)
-// for the adaptive carrier-sense controllers.
+// sample after a transmission starts or ends covers the transmitter's
+// audible neighbors - the nodes whose power moved - plus the
+// transmitter itself (a half-duplex radio re-sensing after its own
+// frame), in ascending node id.
 //
-// Scaling model: the medium runs in one of two modes, selected by
-// radio_config::audibility_floor_dbm. Both share the CCA compare.
-//  - Dense (floor disabled, the default): every power change re-sums
-//    all active transmitters for every listener - O(N) listeners x O(A)
-//    transmitters per event - in dB arithmetic. Byte-identical to the
-//    pre-culling implementation; all historical scenarios run here.
-//  - Neighbor-culled (floor set): links whose received power falls
-//    below the floor are treated as exactly zero. Link gains go into an
-//    append-only table that is sorted once; the topology freezes into
-//    per-node audibility neighbor lists (CSR) at the first
-//    transmission, per-transmission neighbor rx powers are precomputed
-//    in mW, and each node carries an incremental Kahan-compensated
-//    running external-power sum updated on tx start/end. A start or an
-//    end is one pass over the transmitter's CSR row, and SINR is
-//    tracked as a linear ratio, converted to dB once per reception at
-//    the PER lookup - so every event is O(k) audible neighbors,
-//    independent of N. An exact reset whenever a node's audible set
-//    empties plus a periodic exact refresh
-//    (radio_config::power_refresh_interval) keep the incremental sums
-//    drift-free and deterministic.
+// Scaling model: link gains go into an append-only table that is
+// sorted once; at the first transmission the topology freezes into
+// per-node audibility neighbor lists (CSR rows, sorted by node id) with
+// each link's rx power precomputed in mW. Every node carries an
+// incremental Kahan-compensated running sum of external power, updated
+// on tx start/end. A start or an end is one pass over the transmitter's
+// row, and SINR is tracked as a linear ratio, converted to dB once per
+// reception at the PER lookup - so every event is O(k) audible
+// neighbors, independent of N. An exact reset whenever a node's audible
+// set empties plus a periodic exact refresh
+// (radio_config::power_refresh_interval) keep the incremental sums
+// drift-free and deterministic. radio_config::audibility_floor_dbm
+// decides which links join the rows: with the floor disabled (the
+// default, a floor at -infinity) every link set with set_link_gain_db
+// is audible and the medium is exact; with a floor, links whose
+// received power falls below it are treated as exactly zero. A link
+// that was never set carries no power in either case.
 #pragma once
 
 #include <cstdint>
@@ -119,9 +118,10 @@ public:
     /// Symmetric link gain in dB (negative; rx = tx_power + gain). A
     /// repeated call for the same link replaces the earlier gain.
     /// Throws std::invalid_argument on an unknown node id or a == b, and
-    /// std::logic_error when setting a gain after the topology froze in
-    /// neighbor-culled mode.
+    /// std::logic_error when setting a gain after the topology froze.
     void set_link_gain_db(node_id a, node_id b, double gain_db);
+    /// The last gain set for the link; -infinity (no power) for a link
+    /// that was never set.
     double link_gain_db(node_id a, node_id b) const;
 
     /// Received power at `rx` of a transmission from `tx`, in dBm.
@@ -145,9 +145,9 @@ public:
     /// re-judged at once against the node's last CCA sample - not the
     /// live power, which the node has not sensed yet - and a flip is
     /// reported synchronously through on_energy_busy. Throws
-    /// std::invalid_argument on an unknown node id, a NaN threshold, or,
-    /// in neighbor-culled mode, a threshold at or below the audibility
-    /// floor (the node would be deaf to culled power that should count).
+    /// std::invalid_argument on an unknown node id, a NaN threshold, or
+    /// a threshold at or below the audibility floor (the node would be
+    /// deaf to culled power that should count).
     void set_cca_threshold_dbm(node_id n, double threshold_dbm);
 
     /// Node `n`'s current energy-detect CCA threshold in dBm, as last
@@ -155,21 +155,11 @@ public:
     /// std::invalid_argument on an unknown node id.
     double cca_threshold_dbm(node_id n) const;
 
-    /// Time integral of node `n`'s CCA-sampled external power, noise
-    /// floor included, from time 0 to now (mW x us). The power holds its
-    /// last sampled value between samples. An epoch delta divided by the
-    /// epoch length is the mean sensed interference power.
-    double external_power_integral_mw_us(node_id n) const;
-
     const medium_counters& counters() const noexcept { return counters_; }
     const radio_config& radio() const noexcept { return radio_; }
 
-    /// True when the audibility floor is enabled (neighbor-culled mode).
-    bool neighbor_culling() const noexcept { return culled_; }
-
-    /// Audible neighbors of `n`: row size of the CSR neighbor list in
-    /// culled mode, node_count() - 1 in dense mode. In culled mode the
-    /// topology must be frozen first (any transmission freezes it).
+    /// Audible neighbors of `n`: the size of its CSR row. The topology
+    /// must be frozen first (any transmission freezes it).
     std::size_t neighbor_count(node_id n) const;
 
     /// Transmission-log entries currently held. Compaction clears the
@@ -185,12 +175,9 @@ private:
         node_id src;
         sim::time_us start;
         sim::time_us end;
-        /// Dense mode: per-receiver fading (dB) frozen for this frame;
-        /// empty when fading is disabled.
-        std::vector<double> fade_db;
-        /// Culled mode with fading: faded rx power in mW per CSR
-        /// neighbor slot of src. Empty without fading (the frame then
-        /// reads the precomputed unfaded row directly).
+        /// With fading: faded rx power in mW per CSR neighbor slot of
+        /// src. Empty without fading (the frame then reads the
+        /// precomputed unfaded row directly).
         std::vector<double> rx_mw;
     };
 
@@ -198,22 +185,18 @@ private:
         std::size_t tx_index;   ///< into transmissions_
         node_id rx;
         double signal_mw;
-        /// Worst SINR so far: a linear ratio in culled mode, dB in dense
-        /// mode (the dense path keeps its byte-pinned dB arithmetic).
-        double min_sinr;
+        double min_sinr;        ///< worst SINR so far, a linear ratio
     };
 
     /// One node's energy-detect CCA, compared in mW.
     struct cca_state {
         double threshold_dbm = 0.0;  ///< as registered
         double threshold_mw = 0.0;   ///< smallest power that reads busy
-        double sample_mw = 0.0;     ///< last CCA-sampled external power
-        double integral_mw_us = 0.0;  ///< sampled power integrated to mark_us
-        sim::time_us mark_us = 0.0;   ///< time of the last sample
+        double sample_mw = 0.0;      ///< last CCA-sampled external power
         bool busy = false;
     };
 
-    /// One set_link_gain_db call (culled mode), keyed by link_key.
+    /// One set_link_gain_db call, keyed by link_key.
     struct link_entry {
         std::uint64_t key;
         double gain_db;
@@ -222,29 +205,17 @@ private:
     void check_node(node_id n, const char* what) const;
     /// Validated threshold in mW; see set_cca_threshold_dbm.
     double checked_cca_threshold_mw(double threshold_dbm) const;
-    /// A CCA sample of node n's external power: integrate the previous
-    /// sample up to now, then judge the new one.
-    void cca_sample(node_id n, double power_mw);
+    /// A CCA sample of node n's external power, judged at once.
+    void cca_sample(node_id n);
     /// Compare n's last sample with its threshold; report a flip.
     void cca_judge(node_id n);
-    /// Culled mode: noise floor plus the clamped incremental sum - the
-    /// one definition of external power behind every culled read
-    /// (public accessor, CCA samples, interference subtraction).
-    double culled_external_mw(node_id n) const;
+    /// Noise floor plus the clamped incremental sum - the one definition
+    /// of external power behind every read (public accessor, CCA
+    /// samples, interference subtraction).
+    double external_mw(node_id n) const;
     void end_transmission(std::size_t tx_index);
-    void update_all_channel_states();
-    void update_reception_sinrs();
-    double external_power_mw(node_id n) const;
-    double interference_mw(node_id rx, std::size_t locked_tx) const;
-    void try_lock_receivers(std::size_t tx_index);
-    /// Received power of one active transmission at `rx`, including the
-    /// frame's frozen fading draw (dense mode).
-    double faded_rx_power_dbm(const transmission& t, node_id rx) const;
     void maybe_compact_log();
 
-    // Dense-matrix storage helpers (dense mode).
-    void grow_dense_gains();
-    // Neighbor-culled machinery.
     static std::uint64_t link_key(node_id a, node_id b) noexcept;
     /// Sort links_ by key, keeping each key's last write. Runs at the
     /// first lookup after a write and at the freeze.
@@ -253,7 +224,8 @@ private:
     /// Per-slot rx power (mW) of a transmission over its CSR row.
     const double* row_rx_mw(const transmission& t) const;
     void refresh_power_sums();
-    void notify_neighbors_after_cca(node_id src);
+    /// Schedule the CCA sample that follows a start or end by `src`.
+    void sample_cca_after_delay(node_id src);
 
     sim::simulator& sim_;
     radio_config radio_;
@@ -262,18 +234,12 @@ private:
     std::vector<medium_listener*> listeners_;
     std::vector<cca_state> cca_;
 
-    // Dense mode: node_count^2 gain matrix over a power-of-two-ish
-    // stride so add_node growth is amortized O(N^2) total, not O(N^3).
-    std::vector<double> gains_db_;
-    std::size_t gain_stride_ = 0;
-
-    // Culled mode: symmetric gains keyed by (min, max) node id, appended
-    // per call and sorted lazily (a lookup may come before the freeze,
-    // e.g. a controller reading its link's rx power, hence mutable);
-    // stays authoritative for link_gain_db after the freeze.
+    // Symmetric gains keyed by (min, max) node id, appended per call and
+    // sorted lazily (a lookup may come before the freeze, e.g. a
+    // controller reading its link's rx power, hence mutable); stays
+    // authoritative for link_gain_db after the freeze.
     mutable std::vector<link_entry> links_;
     mutable bool links_sorted_ = true;
-    bool culled_ = false;
     bool frozen_ = false;
     // CSR audibility neighbor lists, built at freeze time: row n holds
     // the ids that can hear n (and that n can hear - gains are
@@ -309,7 +275,6 @@ private:
     std::vector<std::int64_t> active_tx_by_node_;  ///< transmissions_ index,
                                                    ///< -1 when off air
     std::vector<std::optional<reception>> lock_by_node_;
-    std::size_t active_count_ = 0;
     medium_counters counters_;
 };
 

@@ -178,22 +178,11 @@ multi_pair_result run_multi_pair(const multi_pair_topology& topology,
         receivers[i] = net.add_node(receiver_cfg);
     }
 
+    // Only set the gains the floor keeps (every pair without a floor):
+    // the spatial grid finds them in O(N * k) instead of O(N^2).
     const auto nodes = node_positions(topology);
-    if (config.radio.audibility_enabled()) {
-        // Neighbor-culled medium: only set the gains the floor keeps -
-        // the spatial grid finds them in O(N * k) instead of O(N^2).
-        for (const auto& [a, b] : audible_link_pairs(topology, config)) {
-            net.set_link_gain_db(a, b,
-                                 config.gain_db(distance(nodes[a], nodes[b])));
-        }
-    } else {
-        for (std::size_t a = 0; a < nodes.size(); ++a) {
-            for (std::size_t b = a + 1; b < nodes.size(); ++b) {
-                net.set_link_gain_db(
-                    static_cast<node_id>(a), static_cast<node_id>(b),
-                    config.gain_db(distance(nodes[a], nodes[b])));
-            }
-        }
+    for (const auto& [a, b] : audible_link_pairs(topology, config)) {
+        net.set_link_gain_db(a, b, config.gain_db(distance(nodes[a], nodes[b])));
     }
     for (std::size_t i = 0; i < n; ++i) {
         dcf_node& sender = net.node(senders[i]);

@@ -17,9 +17,9 @@ enum class cs_mode {
     energy_and_preamble,  ///< either signal marks the channel busy
 };
 
-/// Sentinel for radio_config::audibility_floor_dbm: no culling, the
-/// medium runs its dense O(N^2) path (bit-identical to builds without
-/// the neighbor-culled medium).
+/// Sentinel for radio_config::audibility_floor_dbm: no culling. The
+/// medium treats it as a floor at -infinity, so every link set with
+/// medium::set_link_gain_db is audible and the medium is exact.
 inline constexpr double audibility_floor_disabled_dbm = -1.0e300;
 
 /// Per-deployment radio constants.
@@ -36,9 +36,9 @@ struct radio_config {
                                            ///< fading residue (lognormal dB)
 
     /// Medium-scaling knob: received powers below this floor are treated
-    /// as exactly zero, and the medium culls such links into per-node
-    /// audibility neighbor lists (CSR), making every transmission event
-    /// O(neighbors) instead of O(nodes). When fading_sigma_db > 0 the
+    /// as exactly zero, and the medium leaves such links out of its
+    /// per-node audibility neighbor lists (CSR), so every transmission
+    /// event is O(audible neighbors). When fading_sigma_db > 0 the
     /// cull criterion is the link's *mean* rx power against the floor
     /// minus a 3-sigma fade allowance, so links whose faded tail can
     /// still cross a CCA threshold stay in the neighbor lists (the
@@ -61,21 +61,21 @@ struct radio_config {
     /// controller installs) is rejected with std::invalid_argument at or
     /// below the floor. run_multi_pair also checks
     /// cs_adaptation_config::min_threshold_dbm up front, before any
-    /// simulation time is spent. Default: disabled (dense medium,
-    /// byte-identical to the pre-culling implementation).
+    /// simulation time is spent. Default: disabled (every set link is
+    /// audible; the exact medium).
     double audibility_floor_dbm = audibility_floor_disabled_dbm;
 
-    /// Medium-scaling knob (culled mode only): every this-many
-    /// transmission *ends* the medium rebuilds each node's running
-    /// external-power sum exactly from the active transmissions, so the
-    /// compensated incremental accounting can never drift over long
-    /// runs. Keyed to event counts, never wall clock, so runs stay
-    /// deterministic. <= 0 disables the periodic refresh (the
-    /// Kahan-compensated sums and the exact reset whenever a node's
-    /// audible set empties still bound the error).
+    /// Medium-scaling knob: every this-many transmission *ends* the
+    /// medium rebuilds each node's running external-power sum exactly
+    /// from the active transmissions, so the compensated incremental
+    /// accounting can never drift over long runs. Keyed to event
+    /// counts, never wall clock, so runs stay deterministic. <= 0
+    /// disables the periodic refresh (the Kahan-compensated sums and the
+    /// exact reset whenever a node's audible set empties still bound the
+    /// error).
     int power_refresh_interval = 4096;
 
-    /// True when audibility_floor_dbm is set (neighbor-culled medium).
+    /// True when audibility_floor_dbm is set (sub-floor links culled).
     bool audibility_enabled() const noexcept {
         return audibility_floor_dbm > audibility_floor_disabled_dbm;
     }
@@ -113,8 +113,8 @@ struct cs_adaptation_config {
     double min_threshold_dbm = -95.0;
     double max_threshold_dbm = -60.0;  ///< see min_threshold_dbm
 
-    /// Weight of the newest epoch in the busy/loss/goodput/interference
-    /// EWMAs, in (0, 1]; 1 trusts each epoch alone.
+    /// Weight of the newest epoch in the busy/loss/goodput EWMAs, in
+    /// (0, 1]; 1 trusts each epoch alone.
     double ewma_weight = 0.25;
 
     /// target_busy: busy-time-fraction set point. The threshold moves by

@@ -27,7 +27,6 @@ mac::adaptive_cs_sample busy_sample(double busy) {
     sample.busy_fraction = busy;
     sample.attempts = 10.0;
     sample.delivered = 10.0;
-    sample.mean_external_power_mw = propagation::dbm_to_mw(-80.0);
     return sample;
 }
 
@@ -99,19 +98,6 @@ TEST(AdaptiveCsController, RejectsBadConfig) {
     EXPECT_THROW(mac::adaptive_cs_controller(config, -82.0, -65.0, -95.0, 2,
                                              stats::rng(1)),
                  std::invalid_argument);
-}
-
-TEST(AdaptiveCsController, InterferenceEwmaTracksSensedPower) {
-    mac::adaptive_cs_controller controller(
-        adapt_config(cs_adapt_policy::target_busy), -82.0, -65.0, -95.0, 2,
-        stats::rng(1));
-    // Starts at the noise floor, then tracks the fed sensed power.
-    EXPECT_DOUBLE_EQ(controller.interference_ewma_mw(),
-                     propagation::dbm_to_mw(-95.0));
-    const double sensed_mw = propagation::dbm_to_mw(-80.0);
-    for (int i = 0; i < 50; ++i) controller.on_epoch(busy_sample(0.5));
-    EXPECT_NEAR(controller.interference_ewma_mw(), sensed_mw,
-                0.01 * sensed_mw);
 }
 
 TEST(AdaptiveCsController, AimdBacksOffOnLoss) {

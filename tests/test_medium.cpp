@@ -6,10 +6,14 @@
 //    frame is not delivered, and the receiver's lock state resets so it
 //    can lock onto later frames;
 //  - the medium-side energy-detect CCA: listeners hear busy/idle flips
-//    only, a threshold step is judged against the last CCA sample, and
-//    the sensed-power integral and busy time follow the sampled power.
+//    only, a threshold step is judged against the last CCA sample, busy
+//    time follows the sampled power, and a transmitter re-senses after
+//    its own start;
+//  - the incremental power sums of the floor-less (exact) medium match
+//    a brute-force re-sum over the active transmitters.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -22,6 +26,8 @@
 #include "src/mac/network.hpp"
 #include "src/propagation/units.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/stats/kahan.hpp"
+#include "src/stats/rng.hpp"
 
 namespace {
 
@@ -176,7 +182,8 @@ TEST(MediumCca, ListenersHearOnlyBusyIdleFlips) {
     // threshold, one below. The loud one gets exactly busy then idle,
     // each one CCA lag after the power moved; the quiet one and the
     // transmitter (its own frame is not external power) hear nothing.
-    // Dense and culled modes share the compare, so both must agree.
+    // The floor changes no decision here, so runs with and without it
+    // must agree.
     for (const bool culled : {false, true}) {
         sim::simulator sim;
         radio_config radio;
@@ -248,13 +255,12 @@ TEST(MediumCca, ThresholdStepIsJudgedAgainstTheLastSample) {
     EXPECT_TRUE(rx.flips[4].second);
 }
 
-TEST(MediumCca, SensedPowerIntegralAndBusyTimeFollowTheSamples) {
+TEST(MediumCca, BusyTimeFollowsTheSamples) {
     // Two frames reach a listening DCF node C: A's at -70 dBm (above
     // C's -82 dBm threshold) from t = 0, B's at -90 dBm (below it) from
     // t = 3000 us. Every power change is sampled one CCA lag later and
-    // held until the next sample, so by t = 6000 us the integral is the
-    // noise floor over the whole run plus each frame's power over its
-    // airtime, and C was busy for exactly A's airtime.
+    // held until the next sample, so C was busy for exactly A's
+    // airtime, starting one lag after A's start.
     sim::simulator sim;
     radio_config radio;
     radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;
@@ -273,25 +279,106 @@ TEST(MediumCca, SensedPowerIntegralAndBusyTimeFollowTheSamples) {
     sim.schedule_in(0.0, [&] { air.start_transmission(na, fa, true); });
     sim.schedule_in(3000.0, [&] { air.start_transmission(nb, fb, true); });
 
-    const double noise = propagation::dbm_to_mw(radio.noise_floor_dbm);
-    const double pa = propagation::dbm_to_mw(-70.0);
-    const double pb = propagation::dbm_to_mw(-90.0);
     const double lag = radio.cca_delay_us;
     ASSERT_LT(fa.airtime_us() + lag, 3000.0);
 
     sim.run_until(1000.0);  // mid-frame A: sampled at t = lag
-    EXPECT_NEAR(c.external_power_integral_mw_us(),
-                noise * lag + (noise + pa) * (1000.0 - lag),
-                1e-12 * pa * 1000.0);
     EXPECT_DOUBLE_EQ(c.energy_busy_time_us(), 1000.0 - lag);
 
     sim.run_until(6000.0);
-    const double expected =
-        noise * 6000.0 + pa * fa.airtime_us() + pb * fb.airtime_us();
-    EXPECT_NEAR(c.external_power_integral_mw_us(), expected, 1e-12 * expected);
-    EXPECT_NEAR(air.external_power_integral_mw_us(nc), expected,
-                1e-12 * expected);
     EXPECT_DOUBLE_EQ(c.energy_busy_time_us(), fa.airtime_us());
+}
+
+TEST(MediumCca, TransmitterSamplesItselfAfterItsOwnStart) {
+    // The CCA sample that follows a start covers the transmitter too (a
+    // half-duplex radio re-sensing after its own frame). A lone
+    // transmitter whose threshold sits below the -95 dBm noise floor -
+    // and above the -115 dBm culling floor - reads busy on its first
+    // sample: it must flip exactly once, one CCA lag after its start,
+    // with the floor off and on.
+    for (const bool culled : {false, true}) {
+        sim::simulator sim;
+        radio_config radio;
+        if (culled) radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;
+        const capacity::logistic_per_model errors;
+        medium air(sim, radio, errors, 3);
+        cca_recorder tx(sim);
+        const auto nt = air.add_node(tx, -100.0);
+        const frame f = data_frame(nt, 6.0);
+        sim.schedule_in(10.0, [&] { air.start_transmission(nt, f, true); });
+        sim.run_until(10.0 + 2.0 * f.airtime_us());
+
+        ASSERT_EQ(tx.flips.size(), 1u) << "culled " << culled;
+        EXPECT_EQ(tx.flips[0], std::make_pair(10.0 + radio.cca_delay_us, true))
+            << "culled " << culled;
+    }
+}
+
+TEST(MediumExactSums, IncrementalSumsMatchABruteForceReSum) {
+    // Without a floor the medium is exact: at every event boundary a
+    // node's external power is the noise floor plus the rx power of
+    // every other node on the air. The reference re-sums that from the
+    // public surface; the medium gets there through its incremental
+    // row passes. Random N = 20 topology, gains spanning 70 dB, frames
+    // of three airtimes started at random instants.
+    constexpr node_id nodes = 20;
+    stats::rng gen(2024);
+    sim::simulator sim;
+    const radio_config radio;
+    const capacity::logistic_per_model errors;
+    medium air(sim, radio, errors, 5);
+    std::vector<recorder> listeners(nodes);
+    for (auto& listener : listeners) air.add_node(listener);
+    for (node_id a = 0; a < nodes; ++a) {
+        for (node_id b = a + 1; b < nodes; ++b) {
+            air.set_link_gain_db(a, b, gen.uniform(-120.0, -50.0));
+        }
+    }
+
+    const double noise_mw = propagation::dbm_to_mw(radio.noise_floor_dbm);
+    int checks = 0;
+    int crowded_checks = 0;  ///< checks with at least three on the air
+    const auto check = [&] {
+        int on_air = 0;
+        for (node_id n = 0; n < nodes; ++n) {
+            if (air.transmitting(n)) ++on_air;
+        }
+        for (node_id n = 0; n < nodes; ++n) {
+            stats::kahan_sum expected_mw(noise_mw);
+            for (node_id m = 0; m < nodes; ++m) {
+                if (m == n || !air.transmitting(m)) continue;
+                expected_mw.add(propagation::dbm_to_mw(
+                    radio.tx_power_dbm + air.link_gain_db(m, n)));
+            }
+            const double medium_mw =
+                propagation::dbm_to_mw(air.external_power_dbm(n));
+            ASSERT_NEAR(medium_mw, expected_mw.value(),
+                        1e-9 * expected_mw.value())
+                << "node " << n << " at t = " << sim.now();
+        }
+        ++checks;
+        if (on_air >= 3) ++crowded_checks;
+    };
+    const std::array<double, 3> rates = {6.0, 24.0, 54.0};
+    for (node_id n = 0; n < nodes; ++n) {
+        for (int k = 0; k < 12; ++k) {
+            const double mbps = rates[gen.uniform_int(rates.size())];
+            sim.schedule_in(gen.uniform(0.0, 20'000.0), [&, n, mbps] {
+                if (!air.transmitting(n)) {
+                    air.start_transmission(n, data_frame(n, mbps), true);
+                }
+                check();
+            });
+        }
+    }
+    // Samples between starts see the state after ends as well.
+    for (int k = 0; k < 400; ++k) {
+        sim.schedule_in(gen.uniform(0.0, 25'000.0), check);
+    }
+    sim.run_all();
+    check();  // all quiet again: exactly the noise floor
+    EXPECT_EQ(checks, nodes * 12 + 400 + 1);
+    EXPECT_GT(crowded_checks, 100) << "too few overlapping frames to test";
 }
 
 }  // namespace

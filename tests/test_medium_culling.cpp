@@ -1,13 +1,14 @@
-// The neighbor-culled medium (PR 5): audibility neighbor lists, the
-// incremental Kahan power accounting, and the spatial-grid topology
-// setup must reproduce the dense medium - exactly where the model says
-// they are exact (sub-floor power treated as zero), and within a tight
-// tolerance on end-to-end metrics over random topologies. Also the
+// The audibility floor: culled neighbor lists and the spatial-grid
+// topology setup must reproduce the exact (floor-less) medium - exactly
+// where the model says they are exact (sub-floor power treated as
+// zero), and within a tight tolerance on end-to-end metrics over random
+// topologies. Without a floor every set link is audible. Also the
 // unified bounds checking across the medium's public surface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -151,7 +152,7 @@ TEST(MediumValidation, PerNodeThresholdsMustStayAboveTheFloor) {
     EXPECT_DOUBLE_EQ(adaptive.node(s).cs_threshold_dbm(),
                      radio.audibility_floor_dbm + 0.5);
 
-    // Without a floor (dense mode) any threshold is legal.
+    // Without a floor any threshold is legal.
     network dense(radio_config{}, 4);
     const auto d = dense.add_node(on_floor);
     EXPECT_NO_THROW(dense.node(d).set_cs_threshold_dbm(-130.0));
@@ -205,7 +206,6 @@ TEST(MediumCulling, SubFloorLinksAreCulledAndNeighborsStillServed) {
     air.set_link_gain_db(na, nc, -140.0);  // -125 dBm rx: below the floor
     air.set_link_gain_db(nb, nc, -140.0);
 
-    EXPECT_TRUE(air.neighbor_culling());
     sim.schedule_in(0.0, [&] {
         air.start_transmission(na, data_frame(na, 6.0), true);
     });
@@ -235,8 +235,8 @@ TEST(MediumCulling, SubFloorLinksAreCulledAndNeighborsStillServed) {
     EXPECT_DOUBLE_EQ(air.external_power_dbm(nb), radio.noise_floor_dbm);
 }
 
-/// Shared setup for the end-to-end equivalence runs: a sparse arena
-/// where the audibility floor actually removes most links.
+/// Shared setup for the end-to-end tolerance runs: a sparse arena where
+/// the audibility floor actually removes most links.
 multi_pair_config sparse_arena_config(bool culled) {
     multi_pair_config config;
     config.rate = &rate_by_mbps(6.0);
@@ -249,32 +249,33 @@ multi_pair_config sparse_arena_config(bool culled) {
     return config;
 }
 
-TEST(MediumCulling, EndToEndMetricsMatchDenseWithinTolerance) {
-    // The satellite gate: on random N=20 topologies, the culled medium's
-    // throughput/fairness must agree with the dense medium within a
-    // tolerance set by the dropped sub-floor power (< 0.2 dB of
-    // aggregate interference in this arena). The runs are stochastic
-    // replays of the same seed, so residual divergence comes only from
-    // rare PER draws flipped by the tiny SINR shift.
+TEST(MediumCulling, CulledMatchesExactWithinTolerance) {
+    // On random N=20 topologies the culled medium's throughput/fairness
+    // must agree with the exact (floor-less) medium within a tolerance
+    // set by the dropped sub-floor power (< 0.2 dB of aggregate
+    // interference in this arena). Both runs take the same code path,
+    // so this measures the floor's approximation alone. The runs are
+    // stochastic replays of the same seed, so residual divergence comes
+    // only from rare PER draws flipped by the tiny SINR shift.
     for (const std::uint64_t seed : {11u, 22u, 33u}) {
         stats::rng gen(seed);
         const auto topology = mac::sample_multi_pair_topology(
             /*pairs=*/20, /*arena_m=*/400.0, /*rmax_m=*/10.0, gen);
-        auto dense = sparse_arena_config(false);
+        auto exact = sparse_arena_config(false);
         auto culled = sparse_arena_config(true);
-        dense.seed = culled.seed = 1000 + seed;
-        const auto dense_run = mac::run_multi_pair(topology, dense);
+        exact.seed = culled.seed = 1000 + seed;
+        const auto exact_run = mac::run_multi_pair(topology, exact);
         const auto culled_run = mac::run_multi_pair(topology, culled);
-        ASSERT_GT(dense_run.total_pps, 0.0);
-        EXPECT_NEAR(culled_run.total_pps / dense_run.total_pps, 1.0, 0.05)
+        ASSERT_GT(exact_run.total_pps, 0.0);
+        EXPECT_NEAR(culled_run.total_pps / exact_run.total_pps, 1.0, 0.05)
             << "seed " << seed;
-        EXPECT_NEAR(culled_run.jain_index(), dense_run.jain_index(), 0.05)
+        EXPECT_NEAR(culled_run.jain_index(), exact_run.jain_index(), 0.05)
             << "seed " << seed;
         // Same transmission counters: backoff streams are per-node and
         // the culled CCA sees the same super-threshold power.
         EXPECT_NEAR(static_cast<double>(culled_run.counters.transmissions),
-                    static_cast<double>(dense_run.counters.transmissions),
-                    0.02 * static_cast<double>(dense_run.counters.transmissions))
+                    static_cast<double>(exact_run.counters.transmissions),
+                    0.02 * static_cast<double>(exact_run.counters.transmissions))
             << "seed " << seed;
     }
 }
@@ -316,24 +317,25 @@ TEST(MediumCulling, FadingWidensTheCullCriterionByThreeSigma) {
         << "a link within 3 sigma of the floor must stay audible";
 }
 
-TEST(MediumCulling, EndToEndMetricsMatchDenseWithFadingEnabled) {
-    // With fading the two modes consume RNG differently (dense draws a
-    // fade per node, culled per neighbor), so runs diverge stochastically
-    // rather than only by the dropped sub-floor power - but thanks to
-    // the 3-sigma cull allowance the aggregate metrics must still agree.
+TEST(MediumCulling, CulledMatchesExactWithFadingEnabled) {
+    // With fading the two runs consume RNG differently (every frame
+    // draws one fade per row neighbor, and the exact medium's rows hold
+    // every link), so they diverge stochastically rather than only by
+    // the dropped sub-floor power - but thanks to the 3-sigma cull
+    // allowance the aggregate metrics must still agree.
     for (const std::uint64_t seed : {11u, 22u, 33u}) {
         stats::rng gen(seed);
         const auto topology = mac::sample_multi_pair_topology(20, 400.0, 10.0, gen);
-        auto dense = sparse_arena_config(false);
+        auto exact = sparse_arena_config(false);
         auto culled = sparse_arena_config(true);
-        dense.radio.fading_sigma_db = culled.radio.fading_sigma_db = 3.0;
-        dense.seed = culled.seed = 1000 + seed;
-        const auto dense_run = mac::run_multi_pair(topology, dense);
+        exact.radio.fading_sigma_db = culled.radio.fading_sigma_db = 3.0;
+        exact.seed = culled.seed = 1000 + seed;
+        const auto exact_run = mac::run_multi_pair(topology, exact);
         const auto culled_run = mac::run_multi_pair(topology, culled);
-        ASSERT_GT(dense_run.total_pps, 0.0);
-        EXPECT_NEAR(culled_run.total_pps / dense_run.total_pps, 1.0, 0.05)
+        ASSERT_GT(exact_run.total_pps, 0.0);
+        EXPECT_NEAR(culled_run.total_pps / exact_run.total_pps, 1.0, 0.05)
             << "seed " << seed;
-        EXPECT_NEAR(culled_run.jain_index(), dense_run.jain_index(), 0.05)
+        EXPECT_NEAR(culled_run.jain_index(), exact_run.jain_index(), 0.05)
             << "seed " << seed;
     }
 }
@@ -405,17 +407,58 @@ TEST(MediumCulling, GridLinkingMatchesBruteForce) {
     EXPECT_LE(grid_set.size(), audible + 2);
 }
 
-TEST(MediumCulling, DefaultConfigKeepsTheDensePath) {
-    // camp01-camp04 and every historical scenario construct their radios
-    // from the defaults: the floor must stay disabled there, so those
-    // runs take the dense path and remain byte-identical to pre-culling
-    // builds (verified against the PR-4 binary when this landed).
+TEST(MediumCulling, FloorlessMediumHearsEverySetLink) {
+    // camp01-camp04 and the testbed scenarios construct their radios
+    // from the defaults, where the floor is disabled: a floor at
+    // -infinity. Every set link joins the neighbor lists however weak it
+    // is, so the medium is exact; a link never set carries no power.
     EXPECT_FALSE(radio_config{}.audibility_enabled());
     EXPECT_FALSE(multi_pair_config{}.radio.audibility_enabled());
-    sim::simulator sim;
     const capacity::logistic_per_model errors;
-    medium air(sim, radio_config{}, errors, 1);
-    EXPECT_FALSE(air.neighbor_culling());
+
+    constexpr node_id nodes = 6;
+    sim::simulator sim_full;
+    medium full(sim_full, radio_config{}, errors, 1);
+    std::vector<recorder> listeners(nodes);
+    for (auto& listener : listeners) full.add_node(listener);
+    for (node_id a = 0; a < nodes; ++a) {
+        for (node_id b = a + 1; b < nodes; ++b) {
+            full.set_link_gain_db(a, b, -100.0 * (a + b));  // down to -900 dB
+        }
+    }
+    EXPECT_THROW(full.neighbor_count(0), std::logic_error)
+        << "rows exist only once the topology froze";
+    sim_full.schedule_in(0.0, [&] {
+        full.start_transmission(0, data_frame(0, 6.0), true);
+    });
+    sim_full.run_until(100.0);
+    for (node_id n = 0; n < nodes; ++n) {
+        EXPECT_EQ(full.neighbor_count(n), nodes - 1u) << "node " << n;
+    }
+
+    sim::simulator sim_unset;
+    medium unset(sim_unset, radio_config{}, errors, 1);
+    recorder a, b, c;
+    const auto na = unset.add_node(a);
+    const auto nb = unset.add_node(b);
+    const auto nc = unset.add_node(c);
+    unset.set_link_gain_db(na, nb, -60.0);  // a-c and b-c stay unset
+    EXPECT_EQ(unset.link_gain_db(na, nc),
+              -std::numeric_limits<double>::infinity());
+    sim_unset.schedule_in(0.0, [&] {
+        unset.start_transmission(na, data_frame(na, 6.0), true);
+    });
+    sim_unset.run_until(100.0);
+    EXPECT_EQ(unset.neighbor_count(na), 1u);
+    EXPECT_EQ(unset.neighbor_count(nc), 0u);
+    EXPECT_EQ(unset.external_power_dbm(nc), radio_config{}.noise_floor_dbm)
+        << "an unset link must carry no power";
+    sim_unset.run_until(5000.0);
+    EXPECT_EQ(c.energy_flips, 0);
+    EXPECT_EQ(c.preambles, 0);
+    EXPECT_TRUE(c.received.empty());
+    ASSERT_EQ(b.received.size(), 1u);
+    EXPECT_TRUE(b.received[0].second);
 }
 
 TEST(MediumCulling, DisabledFloorReturnsAllPairs) {
