@@ -93,6 +93,16 @@ bool dcf_node::sense_enabled() const noexcept {
     return config_.sense != cs_mode::disabled;
 }
 
+bool dcf_node::senses_energy() const noexcept {
+    return config_.sense == cs_mode::energy ||
+           config_.sense == cs_mode::energy_and_preamble;
+}
+
+bool dcf_node::senses_preambles() const noexcept {
+    return config_.sense == cs_mode::preamble ||
+           config_.sense == cs_mode::energy_and_preamble;
+}
+
 bool dcf_node::rts_active() const {
     return config_.use_rts_cts ||
            (config_.adaptive_rts_cts && heuristic_rts_on_);
@@ -102,13 +112,8 @@ bool dcf_node::channel_busy() const {
     if (!sense_enabled()) return false;
     const sim::time_us now = sim_.now();
     if (now < hot_->nav_until) return true;
-    const bool energy_mode = config_.sense == cs_mode::energy ||
-                             config_.sense == cs_mode::energy_and_preamble;
-    if (energy_mode && hot_->energy_busy) return true;
-    const bool preamble_mode = config_.sense == cs_mode::preamble ||
-                               config_.sense == cs_mode::energy_and_preamble;
-    if (preamble_mode && now < hot_->preamble_busy_until) return true;
-    return false;
+    if (senses_energy() && hot_->energy_busy) return true;
+    return senses_preambles() && now < hot_->preamble_busy_until;
 }
 
 void dcf_node::cancel_timer() {
@@ -339,6 +344,10 @@ void dcf_node::on_energy_busy(bool busy) {
         hot_->busy_accum_us += now - hot_->busy_since;
     }
     hot_->energy_busy = busy;
+    // Busy time counts for every node, but only energy sensing defers
+    // on it: elsewhere a flip changes no decision, and re-evaluating
+    // would restart a running DIFS.
+    if (!senses_energy()) return;
     if (busy && hot_->state == state::contending && hot_->difs_done) {
         ++stats_.defer_events;
     }
@@ -346,9 +355,7 @@ void dcf_node::on_energy_busy(bool busy) {
 }
 
 void dcf_node::on_preamble(const frame&, double, sim::time_us until) {
-    const bool preamble_mode = config_.sense == cs_mode::preamble ||
-                               config_.sense == cs_mode::energy_and_preamble;
-    if (!preamble_mode) return;  // this radio's CCA ignores preambles
+    if (!senses_preambles()) return;  // this radio's CCA ignores preambles
     if (until > hot_->preamble_busy_until) {
         hot_->preamble_busy_until = until;
         if (hot_->state == state::contending && hot_->difs_done) ++stats_.defer_events;

@@ -133,6 +133,8 @@ private:
     using state = dcf_state;
 
     bool sense_enabled() const noexcept;
+    bool senses_energy() const noexcept;
+    bool senses_preambles() const noexcept;
     bool channel_busy() const;
     void reevaluate();
     void cancel_timer();

@@ -1,17 +1,24 @@
 // Packet-level MAC behaviour: saturation throughput, spatial reuse,
-// fairness under mutual carrier sense, collision collapse with CS off,
-// hidden terminals and bitrate adaptation, and the §5 pathologies (slot
+// fairness under mutual carrier sense, collision collapse with CS off
+// (and a CS-off sender that energy flips never delay), hidden
+// terminals and bitrate adaptation, and the §5 pathologies (slot
 // collisions, chain collisions, threshold asymmetry).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "src/capacity/error_models.hpp"
 #include "src/capacity/rate_table.hpp"
+#include "src/mac/dcf.hpp"
+#include "src/mac/medium.hpp"
 #include "src/mac/network.hpp"
+#include "src/sim/simulator.hpp"
 
 namespace {
 
 using namespace csense::mac;
+using csense::capacity::ofdm_timing;
 using csense::capacity::rate_by_mbps;
 using csense::capacity::saturated_broadcast_pps;
 
@@ -241,6 +248,81 @@ TEST(Mac, DeferEventsCountedUnderContention) {
     net.run(run_us);
     EXPECT_GT(net.node(s1).stats().defer_events, 0u);
     EXPECT_GT(net.node(s2).stats().defer_events, 0u);
+}
+
+/// Raw medium listener that notes when the first preamble arrives.
+struct first_preamble final : medium_listener {
+    explicit first_preamble(const csense::sim::simulator& simulator)
+        : simulator(&simulator) {}
+
+    const csense::sim::simulator* simulator;
+    double at_us = -1.0;
+
+    void on_energy_busy(bool) override {}
+    void on_preamble(const frame&, double, csense::sim::time_us) override {
+        if (at_us < 0.0) at_us = simulator->now();
+    }
+    void on_frame_received(const frame&, double, double, bool) override {}
+    void on_tx_complete(const frame&) override {}
+};
+
+struct cs_off_start {
+    double first_tx_us;
+    std::uint64_t defer_events;
+};
+
+/// A saturated CS-off sender contends from t = 0; a loud neighbour (35
+/// dB above the energy threshold at the sender, silent at the
+/// receiver) starts a long frame at `neighbour_start_us`, or never when
+/// negative. Returns when the sender's first frame went on the air.
+cs_off_start run_cs_off_sender(double neighbour_start_us) {
+    csense::sim::simulator sim;
+    const radio_config radio;
+    const csense::capacity::logistic_per_model errors;
+    medium air(sim, radio, errors, 1);
+    mac_config cs_off;
+    cs_off.sense = cs_mode::disabled;
+    dcf_node sender(sim, air, cs_off, 12);
+    first_preamble receiver(sim);
+    first_preamble neighbour(sim);
+    const node_id nr = air.add_node(receiver);
+    const node_id nn = air.add_node(neighbour);
+    air.set_link_gain_db(sender.id(), nr, -60.0);
+    air.set_link_gain_db(sender.id(), nn, -52.0);  // -37 dBm at the sender
+    sender.set_traffic(traffic_mode::broadcast, broadcast_id,
+                       rate_by_mbps(24.0), payload);
+    if (neighbour_start_us >= 0.0) {
+        frame loud;
+        loud.src = nn;
+        loud.bytes = payload;
+        loud.rate = &rate_by_mbps(6.0);  // ~1.9 ms: outlasts the contention
+        sim.schedule_in(neighbour_start_us, [&air, nn, loud] {
+            air.start_transmission(nn, loud, true);
+        });
+    }
+    sender.start();
+    sim.run_until(1000.0);
+    return {receiver.at_us - radio.cca_delay_us, sender.stats().defer_events};
+}
+
+TEST(Mac, CsOffSenderIgnoresEnergyFlips) {
+    // CS off promises the sender never defers. A neighbour's energy
+    // still flips its CCA (busy time is accounted for every node), but
+    // the flip must neither count as a defer nor restart a running DIFS
+    // or backoff: the first frame leaves exactly when it would alone.
+    const cs_off_start alone = run_cs_off_sender(-1.0);
+    ASSERT_GT(alone.first_tx_us, 0.0);
+    ASSERT_GE(alone.first_tx_us, ofdm_timing::difs_us + 2.0 * ofdm_timing::slot_us)
+        << "the seed must draw a backoff of at least two slots";
+    EXPECT_EQ(alone.defer_events, 0u);
+
+    // Flip inside DIFS, then inside the backoff.
+    for (const double start_us : {10.0, ofdm_timing::difs_us + 1.0}) {
+        const cs_off_start loud = run_cs_off_sender(start_us);
+        EXPECT_DOUBLE_EQ(loud.first_tx_us, alone.first_tx_us)
+            << "neighbour at " << start_us << " us";
+        EXPECT_EQ(loud.defer_events, 0u) << "neighbour at " << start_us << " us";
+    }
 }
 
 TEST(Mac, DeterministicGivenSeed) {
