@@ -110,8 +110,8 @@ public:
     /// energy-busy state against this node's last CCA sample
     /// immediately, so a threshold step mid-backoff behaves exactly like
     /// a channel power change. Throws std::invalid_argument when the
-    /// medium rejects the threshold (neighbor-culled mode: at or below
-    /// the audibility floor); the previous threshold then stays.
+    /// medium rejects the threshold (at or below the audibility floor);
+    /// the previous threshold then stays.
     void set_cs_threshold_dbm(double threshold_dbm);
 
     /// Cumulative time this node's CCA has reported energy-busy, up to

@@ -353,9 +353,9 @@ void medium::start_transmission(node_id src, const frame& f,
         // order, folded straight into the precomputed rx power.
         t.rx_mw.resize(end - begin);
         for (std::size_t s = begin; s < end; ++s) {
-            const double fade_db = radio_.fading_sigma_db * rng_.normal();
+            const double fade = radio_.fading_sigma_db * rng_.normal();  // dB
             t.rx_mw[s - begin] =
-                nbr_rx_mw_[s] * propagation::db_to_linear(fade_db);
+                nbr_rx_mw_[s] * propagation::db_to_linear(fade);
         }
     }
     transmissions_.push_back(std::move(t));

@@ -32,16 +32,17 @@
 // incremental Kahan-compensated running sum of external power, updated
 // on tx start/end. A start or an end is one pass over the transmitter's
 // row, and SINR is tracked as a linear ratio, converted to dB once per
-// reception at the PER lookup - so every event is O(k) audible
-// neighbors, independent of N. An exact reset whenever a node's audible
-// set empties plus a periodic exact refresh
+// reception at the PER lookup - so every event is O(k) in the
+// transmitter's k audible neighbors. An exact reset whenever a node's
+// audible set empties plus a periodic exact refresh
 // (radio_config::power_refresh_interval) keep the incremental sums
 // drift-free and deterministic. radio_config::audibility_floor_dbm
 // decides which links join the rows: with the floor disabled (the
 // default, a floor at -infinity) every link set with set_link_gain_db
-// is audible and the medium is exact; with a floor, links whose
-// received power falls below it are treated as exactly zero. A link
-// that was never set carries no power in either case.
+// is audible and the medium is exact, k = N - 1 on a full topology;
+// with a floor, links whose received power falls below it are treated
+// as exactly zero and k no longer grows with N. A link that was never
+// set carries no power in either case.
 #pragma once
 
 #include <cstdint>
