@@ -487,8 +487,8 @@ int main(int argc, char** argv) {
     // The CSENSE_* env fingerprint that keys every checkpoint record
     // (CSENSE_THREADS excluded: output is thread-count invariant), so a
     // run under different knobs can never load another configuration's
-    // records. Shared with csense_merge/csense_sweep_serve, which must
-    // agree on it byte-for-byte.
+    // records. Shared with csense_merge, which must agree on it
+    // byte-for-byte.
     const std::string env_fp = csense::store::current_env_fingerprint();
     const bool fast = csense::bench::fast_mode();
 

@@ -52,7 +52,7 @@ void dcf_node::set_rate_adaptation(capacity::rate_adaptation* adapter) {
 
 void dcf_node::start() {
     if (traffic_ == traffic_mode::none) return;
-    if (source_ == nullptr || source_->saturated()) {
+    if (source_ == nullptr) {
         // The historical always-backlogged path: refill inline, no
         // arrival events — byte-identical to the pre-queue MAC.
         hot_->state = state::contending;
@@ -244,8 +244,8 @@ void dcf_node::packet_done(bool delivered) {
     hot_->have_packet = false;
     hot_->state = state::contending;
     if (traffic_ == traffic_mode::none) return;
-    if (source_ == nullptr || source_->saturated()) {
-        new_packet();  // saturated sources always have a next packet
+    if (source_ == nullptr) {
+        new_packet();  // saturated traffic always has a next packet
         head_enqueued_us_ = sim_.now();
         reevaluate();
         return;

@@ -173,8 +173,8 @@ private:
     int payload_bytes_ = 1400;
     capacity::rate_adaptation* adaptation_ = nullptr;
 
-    // Arrival process + FIFO queue. A null source behaves as saturated
-    // (nodes driven without start() keep the historical refill path).
+    // Arrival process + FIFO queue. A null source is saturated traffic:
+    // the node refills inline instead of queueing arrivals.
     traffic_config traffic_model_;
     std::unique_ptr<traffic_source> source_;
     stats::rng arrival_rng_;  ///< re-derived at start() via split("traffic")

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "src/propagation/units.hpp"
 
@@ -68,7 +67,7 @@ void medium::reserve_nodes(std::size_t nodes) {
     audible_count_.reserve(nodes);
     lock_by_node_.reserve(nodes);
     tx_flag_by_node_.reserve(nodes);
-    active_tx_by_node_.reserve(nodes);
+    on_air_.reserve(nodes);
 }
 
 node_id medium::add_node(medium_listener& listener) {
@@ -91,7 +90,7 @@ node_id medium::add_node(medium_listener& listener, double cca_threshold_dbm) {
     audible_count_.push_back(0);
     lock_by_node_.emplace_back();
     tx_flag_by_node_.push_back(0);
-    active_tx_by_node_.push_back(-1);
+    on_air_.emplace_back();
     return id;
 }
 
@@ -213,9 +212,10 @@ void medium::freeze_topology() {
     }
 }
 
-const double* medium::row_rx_mw(const transmission& t) const {
-    return t.rx_mw.empty() ? nbr_rx_mw_.data() + nbr_offset_[t.src]
-                           : t.rx_mw.data();
+const double* medium::row_rx_mw(node_id src) const {
+    const std::vector<double>& faded = on_air_[src].rx_mw;
+    return faded.empty() ? nbr_rx_mw_.data() + nbr_offset_[src]
+                         : faded.data();
 }
 
 double medium::external_mw(node_id n) const {
@@ -284,18 +284,19 @@ void medium::sample_cca_after_delay(node_id src) {
 }
 
 void medium::refresh_power_sums() {
-    // Exact rebuild of every incremental sum from the active set, so the
-    // compensated accounting can never drift over long runs. Keyed to
-    // event counts by the caller - deterministic, never wall clock.
+    // Exact rebuild of every incremental sum from the on-air nodes, in
+    // ascending id, so the compensated accounting can never drift over
+    // long runs. Keyed to event counts by the caller - deterministic,
+    // never wall clock.
     for (std::size_t n = 0; n < ext_mw_.size(); ++n) {
         ext_mw_[n].reset();
         audible_count_[n] = 0;
     }
-    for (const std::size_t i : active_tx_) {
-        const auto& t = transmissions_[i];
-        const double* row = row_rx_mw(t);
-        const std::size_t begin = nbr_offset_[t.src];
-        const std::size_t end = nbr_offset_[t.src + 1];
+    for (node_id src = 0; src < on_air_.size(); ++src) {
+        if (tx_flag_by_node_[src] == 0) continue;
+        const double* row = row_rx_mw(src);
+        const std::size_t begin = nbr_offset_[src];
+        const std::size_t end = nbr_offset_[src + 1];
         for (std::size_t s = begin; s < end; ++s) {
             ext_mw_[nbr_id_[s]].add(row[s - begin]);
             ++audible_count_[nbr_id_[s]];
@@ -318,15 +319,14 @@ void medium::start_transmission(node_id src, const frame& f,
     bool audible = false;
     bool mutual_recent_start = false;
     for (std::size_t s = begin; s < end; ++s) {
-        const std::int64_t ti = active_tx_by_node_[nbr_id_[s]];
-        if (ti < 0) continue;
+        const node_id n = nbr_id_[s];
+        if (tx_flag_by_node_[n] == 0) continue;
         // Unfaded sensed power, symmetric in (src, neighbor): one
         // precomputed row value answers both directions of the
         // mutual-audibility check.
         if (nbr_rx_mw_[s] >= cs_threshold_mw_) {
             audible = true;
-            if (now - transmissions_[static_cast<std::size_t>(ti)].start <=
-                capacity::ofdm_timing::slot_us) {
+            if (now - on_air_[n].start <= capacity::ofdm_timing::slot_us) {
                 mutual_recent_start = true;
             }
         }
@@ -343,14 +343,16 @@ void medium::start_transmission(node_id src, const frame& f,
     // A transmitter abandons any reception in progress.
     lock_by_node_[src].reset();
 
-    transmission t;
+    // The node's slot is free: it is off air, and its last frame's end
+    // settled every reception locked to it.
+    transmission& t = on_air_[src];
     t.f = f;
-    t.src = src;
     t.start = now;
     t.end = now + f.airtime_us();
     if (radio_.fading_sigma_db > 0.0) {
         // Fade draws only for the audible neighbors, in row (node-id)
-        // order, folded straight into the precomputed rx power.
+        // order, folded straight into the precomputed rx power. The row
+        // keeps its capacity from frame to frame.
         t.rx_mw.resize(end - begin);
         for (std::size_t s = begin; s < end; ++s) {
             const double fade = radio_.fading_sigma_db * rng_.normal();  // dB
@@ -358,14 +360,9 @@ void medium::start_transmission(node_id src, const frame& f,
                 nbr_rx_mw_[s] * propagation::db_to_linear(fade);
         }
     }
-    transmissions_.push_back(std::move(t));
-    const std::size_t index = transmissions_.size() - 1;
-    active_tx_.push_back(index);
     tx_flag_by_node_[src] = 1;
-    active_tx_by_node_[src] = static_cast<std::int64_t>(index);
 
-    const transmission& added = transmissions_[index];
-    const double* row = row_rx_mw(added);
+    const double* row = row_rx_mw(src);
     // One pass in row order. At each neighbor the frame's power joins
     // the running external sum, hits any reception in progress as new
     // interference, and then offers the neighbor a lock.
@@ -390,53 +387,34 @@ void medium::start_transmission(node_id src, const frame& f,
         // The preamble is decodable at this node: announce it (carrier
         // sense hook) after the CCA lag, and lock if the receiver is free.
         medium_listener* listener = listeners_[n];
-        const frame announced = added.f;
+        const frame announced = t.f;
         const double power_dbm = propagation::mw_to_dbm(power_mw);
-        const sim::time_us until = added.end;
+        const sim::time_us until = t.end;
         sim_.schedule_in(radio_.cca_delay_us,
                          [listener, announced, power_dbm, until] {
                              listener->on_preamble(announced, power_dbm,
                                                    until);
                          });
         if (!lock) {
-            lock = reception{index, n, power_mw, power_mw / interference};
+            lock = reception{src, power_mw, power_mw / interference};
         }
     }
     sample_cca_after_delay(src);
 
-    sim_.schedule_at(added.end, [this, index] { end_transmission(index); });
+    sim_.schedule_at(t.end, [this, src] { end_transmission(src); });
 }
 
-void medium::maybe_compact_log() {
-    // Compact the log occasionally so long runs stay O(active).
-    if (transmissions_.size() > 4096 && active_tx_.empty()) {
-        bool any_locked = false;
-        for (const auto& lock : lock_by_node_) {
-            if (lock) any_locked = true;
-        }
-        if (!any_locked) transmissions_.clear();
-    }
-}
-
-void medium::end_transmission(std::size_t tx_index) {
-    // Copy what callbacks need: listeners may re-enter start_transmission,
-    // which can reallocate transmissions_.
-    const frame ended = transmissions_[tx_index].f;
-    const node_id src = transmissions_[tx_index].src;
+void medium::end_transmission(node_id src) {
+    // Copy the frame the callbacks need: on_tx_complete may start src's
+    // next frame, which reuses the slot.
+    const frame ended = on_air_[src].f;
     tx_flag_by_node_[src] = 0;
-    active_tx_by_node_[src] = -1;
-    // Swap-erase: active order only feeds the exact refresh, whose
-    // association is deterministic either way.
-    const auto it = std::find(active_tx_.begin(), active_tx_.end(), tx_index);
-    *it = active_tx_.back();
-    active_tx_.pop_back();
 
     // end_transmission only runs from a scheduled event, never nested,
     // so the member scratch is free here.
     std::vector<delivery>& deliveries = delivery_scratch_;
     deliveries.clear();
-    const transmission& t = transmissions_[tx_index];
-    const double* row = row_rx_mw(t);
+    const double* row = row_rx_mw(src);
     const std::size_t begin = nbr_offset_[src];
     const std::size_t end = nbr_offset_[src + 1];
     // One pass in row order: the frame's power leaves each neighbor's
@@ -454,7 +432,7 @@ void medium::end_transmission(std::size_t tx_index) {
             ext_mw_[n].reset();
         }
         auto& lock = lock_by_node_[n];
-        if (!lock || lock->tx_index != tx_index) continue;
+        if (!lock || lock->src != src) continue;
         const double sinr_db = propagation::linear_to_db(lock->min_sinr);
         const double per =
             errors_.packet_error_rate(*ended.rate, sinr_db, ended.bytes);
@@ -474,7 +452,6 @@ void medium::end_transmission(std::size_t tx_index) {
     }
     sample_cca_after_delay(src);
     listeners_[src]->on_tx_complete(ended);
-    maybe_compact_log();
 }
 
 }  // namespace csense::mac

@@ -43,6 +43,13 @@
 // with a floor, links whose received power falls below it are treated
 // as exactly zero and k no longer grows with N. A link that was never
 // set carries no power in either case.
+//
+// Memory: a half-duplex node has at most one frame on the air, so each
+// node owns one transmission slot that it reuses frame after frame, and
+// a reception names its transmitter by node id. Nothing is kept once a
+// frame leaves the air: the medium holds O(N + links) for any run
+// length, and with fading each slot's faded row keeps its capacity, so
+// steady-state frames allocate nothing.
 #pragma once
 
 #include <cstdint>
@@ -163,28 +170,27 @@ public:
     /// must be frozen first (any transmission freezes it).
     std::size_t neighbor_count(node_id n) const;
 
-    /// Transmission-log entries currently held. Compaction clears the
-    /// log at quiet moments so long runs stay O(active); exposed for the
-    /// bounded-memory regression tests.
+    /// Transmission slots held: one per registered node, reused frame
+    /// after frame, so this equals node_count() however long the run
+    /// lasts. Exposed for the bounded-memory regression tests.
     std::size_t transmission_log_size() const noexcept {
-        return transmissions_.size();
+        return on_air_.size();
     }
 
 private:
+    /// A node's transmission slot; meaningful while the node is on air.
     struct transmission {
         frame f;
-        node_id src;
-        sim::time_us start;
-        sim::time_us end;
+        sim::time_us start = 0.0;
+        sim::time_us end = 0.0;
         /// With fading: faded rx power in mW per CSR neighbor slot of
-        /// src. Empty without fading (the frame then reads the
+        /// the node. Empty without fading (the frame then reads the
         /// precomputed unfaded row directly).
         std::vector<double> rx_mw;
     };
 
     struct reception {
-        std::size_t tx_index;   ///< into transmissions_
-        node_id rx;
+        node_id src;            ///< the transmitter, on air until it ends
         double signal_mw;
         double min_sinr;        ///< worst SINR so far, a linear ratio
     };
@@ -214,16 +220,15 @@ private:
     /// of external power behind every read (public accessor, CCA
     /// samples, interference subtraction).
     double external_mw(node_id n) const;
-    void end_transmission(std::size_t tx_index);
-    void maybe_compact_log();
+    void end_transmission(node_id src);
 
     static std::uint64_t link_key(node_id a, node_id b) noexcept;
     /// Sort links_ by key, keeping each key's last write. Runs at the
     /// first lookup after a write and at the freeze.
     void sort_links() const;
     void freeze_topology();
-    /// Per-slot rx power (mW) of a transmission over its CSR row.
-    const double* row_rx_mw(const transmission& t) const;
+    /// Per-slot rx power (mW) of src's frame on air over its CSR row.
+    const double* row_rx_mw(node_id src) const;
     void refresh_power_sums();
     /// Schedule the CCA sample that follows a start or end by `src`.
     void sample_cca_after_delay(node_id src);
@@ -270,11 +275,10 @@ private:
     double cs_threshold_mw_ = 0.0;
     double capture_ratio_ = 0.0;  ///< preamble_capture_snr_db, linear
 
-    std::vector<transmission> transmissions_;
-    std::vector<std::size_t> active_tx_;        ///< indices of active entries
+    // Per-node slots never reallocate once frames flow: add_node throws
+    // after the freeze, which the first transmission triggers.
+    std::vector<transmission> on_air_;
     std::vector<std::uint8_t> tx_flag_by_node_; ///< 1 while a node is on air
-    std::vector<std::int64_t> active_tx_by_node_;  ///< transmissions_ index,
-                                                   ///< -1 when off air
     std::vector<std::optional<reception>> lock_by_node_;
     medium_counters counters_;
 };

@@ -6,16 +6,6 @@ namespace csense::mac {
 
 namespace {
 
-class saturated_traffic final : public traffic_source {
-public:
-    bool saturated() const noexcept override { return true; }
-    sim::time_us next_interarrival_us(stats::rng&) override {
-        throw std::logic_error(
-            "saturated_traffic: no arrival process to sample");
-    }
-    const char* name() const noexcept override { return "saturated"; }
-};
-
 class poisson_traffic final : public traffic_source {
 public:
     explicit poisson_traffic(double rate_per_us) : rate_per_us_(rate_per_us) {}
@@ -93,7 +83,7 @@ std::unique_ptr<traffic_source> make_traffic_source(
     const traffic_config& config) {
     switch (config.model) {
         case traffic_model::saturated:
-            return std::make_unique<saturated_traffic>();
+            return nullptr;  // no arrival process: the node refills inline
         case traffic_model::poisson:
             return std::make_unique<poisson_traffic>(
                 checked_rate_per_us(config));

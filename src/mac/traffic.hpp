@@ -1,11 +1,11 @@
 // Per-node traffic sources: the arrival process that feeds a dcf_node's
-// FIFO queue. The saturated source reproduces the historical
-// always-backlogged behaviour exactly (no arrival events are scheduled,
-// the node refills inline on packet completion), so every pre-existing
-// scenario stays byte-identical; the unsaturated sources (Poisson,
-// constant-bit-rate, interrupted-Poisson on/off) schedule arrivals as
-// ordinary simulator events drawn from a per-node split RNG stream, which
-// is what makes offered load deterministic at any thread count.
+// FIFO queue. Saturated traffic has no source: the always-backlogged
+// node schedules no arrival events and refills inline on packet
+// completion, so every pre-existing scenario stays byte-identical. The
+// unsaturated sources (Poisson, constant-bit-rate, interrupted-Poisson
+// on/off) schedule arrivals as ordinary simulator events drawn from a
+// per-node split RNG stream, which is what makes offered load
+// deterministic at any thread count.
 #pragma once
 
 #include <memory>
@@ -21,21 +21,16 @@ class traffic_source {
 public:
     virtual ~traffic_source() = default;
 
-    /// True for the always-backlogged source: the node bypasses the
-    /// arrival/queue machinery entirely and refills inline, preserving
-    /// the historical event sequence bit-for-bit.
-    virtual bool saturated() const noexcept { return false; }
-
     /// Gap to the next packet arrival, microseconds (> 0). Draws only
-    /// from `gen`, the node's dedicated arrival stream; never called on
-    /// a saturated source.
+    /// from `gen`, the node's dedicated arrival stream.
     virtual sim::time_us next_interarrival_us(stats::rng& gen) = 0;
 
     /// Name for reporting.
     virtual const char* name() const noexcept = 0;
 };
 
-/// Build the source described by `config`. Throws std::invalid_argument
+/// Build the source described by `config`; null for the saturated
+/// model, which has no arrival process. Throws std::invalid_argument
 /// on non-positive rates/durations for the models that need them.
 std::unique_ptr<traffic_source> make_traffic_source(
     const traffic_config& config);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -16,50 +14,17 @@ constexpr std::uint64_t kUnboundedTick = ~std::uint64_t{0};
 
 }  // namespace
 
-std::optional<queue_backend> forced_queue_backend() noexcept {
-    // Read once: the env knob is a wall-clock A/B switch (both backends
-    // are byte-identical in output), not per-queue state.
-    static const std::optional<queue_backend> forced =
-        []() -> std::optional<queue_backend> {
-        const char* env = std::getenv("CSENSE_QUEUE_BACKEND");
-        if (env == nullptr) return std::nullopt;
-        if (std::strcmp(env, "heap") == 0) return queue_backend::heap;
-        if (std::strcmp(env, "calendar") == 0) return queue_backend::calendar;
-        return std::nullopt;
-    }();
-    return forced;
-}
+event_queue::event_queue(queue_backend backend) { reconfigure(backend); }
 
-const event_queue_config& default_queue_config() noexcept {
-    static const event_queue_config config = [] {
-        event_queue_config c;
-        c.backend = forced_queue_backend().value_or(queue_backend::calendar);
-        return c;
-    }();
-    return config;
-}
-
-event_queue::event_queue(const event_queue_config& config) {
-    reconfigure(config);
-}
-
-bool event_queue::reconfigure(const event_queue_config& config) {
+bool event_queue::reconfigure(queue_backend backend) {
     if (pending_ != 0 || heap_size() != 0) return false;
-    backend_ = config.backend;
-    bucket_width_ = config.bucket_width_us;
+    backend_ = backend;
     current_tick_ = 0;
     wheel_hint_ = 0;
     if (backend_ == queue_backend::calendar) {
-        if (!(bucket_width_ > 0.0)) bucket_width_ = 9.0;
-        inv_bucket_width_ = 1.0 / bucket_width_;
-        std::uint32_t count = std::max<std::uint32_t>(config.bucket_count, 64);
-        count = std::bit_ceil(count);
-        bucket_mask_ = count - 1;
-        bucket_head_.assign(count, kNil);
-        occupied_.assign(count / 64, 0);
+        bucket_head_.assign(kBucketCount, kNil);
+        occupied_.assign(kBucketCount / 64, 0);
     } else {
-        inv_bucket_width_ = 0.0;
-        bucket_mask_ = 0;
         bucket_head_.clear();
         occupied_.clear();
     }
@@ -74,10 +39,10 @@ std::uint64_t event_queue::tick_of(time_us at) const noexcept {
     // harmless, because pop order only needs tick_of to be monotone in
     // `at` (any monotone bucketing is; the near heap re-sorts by exact
     // time) and deterministic, which a fixed reciprocal is.
-    const double quotient = at * inv_bucket_width_;
+    const double quotient = at * kInvBucketWidth;
     // Clamp before the double -> integer cast: 4e18 < 2^62, so the
     // clamped tick still compares correctly against every real tick and
-    // current_tick_ + bucket_count cannot overflow.
+    // current_tick_ + kBucketCount cannot overflow.
     constexpr double kMaxTick = 4.0e18;
     if (quotient >= kMaxTick) return static_cast<std::uint64_t>(kMaxTick);
     return static_cast<std::uint64_t>(quotient);
@@ -93,8 +58,8 @@ void event_queue::place(entry e) {
         slots_[e.slot].location = entry_loc::near_heap;
         return;
     }
-    if (tick - current_tick_ <= bucket_mask_) {
-        const auto b = static_cast<std::uint32_t>(tick & bucket_mask_);
+    if (tick - current_tick_ <= kBucketMask) {
+        const auto b = static_cast<std::uint32_t>(tick & kBucketMask);
         const std::uint32_t head = bucket_head_[b];
         wheel_node_[e.slot] = wheel_node{e.at, e.sequence, head, kNil};
         if (head != kNil) wheel_node_[head].prev = e.slot;
@@ -177,7 +142,7 @@ void event_queue::unlink_wheel(std::uint32_t index) {
         wheel_node_[prev].next = next;
     } else {
         const std::uint64_t tick = tick_of(node.at);
-        const auto b = static_cast<std::uint32_t>(tick & bucket_mask_);
+        const auto b = static_cast<std::uint32_t>(tick & kBucketMask);
         bucket_head_[b] = next;
         if (next == kNil) {
             occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
@@ -192,8 +157,8 @@ bool event_queue::advance_wheel(std::uint64_t limit_tick) {
     // Find the first occupied bucket in circular order after the
     // current one (which is empty by the wheel invariant), 64 buckets
     // per bitmap word.
-    const auto cur_pos = static_cast<std::uint32_t>(current_tick_ & bucket_mask_);
-    const std::uint32_t start = (cur_pos + 1) & bucket_mask_;
+    const auto cur_pos = static_cast<std::uint32_t>(current_tick_ & kBucketMask);
+    const std::uint32_t start = (cur_pos + 1) & kBucketMask;
     const auto words = static_cast<std::uint32_t>(occupied_.size());
     std::uint32_t found;
     const std::uint32_t start_word = start >> 6;
@@ -214,7 +179,7 @@ bool event_queue::advance_wheel(std::uint64_t limit_tick) {
     }
     // All entries in the found bucket share one tick; recover it from
     // the circular distance.
-    const std::uint32_t delta = (found - cur_pos) & bucket_mask_;
+    const std::uint32_t delta = (found - cur_pos) & kBucketMask;
     if (current_tick_ + delta > limit_tick) {
         // The scan found the exact earliest occupied tick; remember it
         // so repeated bounded pops before that event skip the scan.
@@ -265,7 +230,7 @@ void event_queue::settle(std::uint64_t limit_tick) {
         // buckets > any wheel tick), so migrating before the wheel
         // drains preserves pop order; skipping this would strand an
         // overflow event once current_tick_ moves past it.
-        const std::uint64_t horizon = current_tick_ + bucket_mask_ + 1;
+        const std::uint64_t horizon = current_tick_ + kBucketMask + 1;
         while (!far_.empty()) {
             if (stale(far_.front())) {
                 std::pop_heap(far_.begin(), far_.end(), std::greater<>{});

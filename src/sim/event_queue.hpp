@@ -61,49 +61,24 @@ using time_us = double;
 /// bits, the slot's generation at schedule time in the high 32 bits.
 using event_id = std::uint64_t;
 
-/// Scheduler backend selection. Both orders pops identically; the
-/// calendar wheel is the fast default, the binary heap the reference.
+/// Scheduler backend selection. Both pop in identical order; the
+/// calendar wheel is the default, the binary heap the faster structure
+/// for a handful of pending events (mac::network picks per scale).
 enum class queue_backend { calendar, heap };
-
-/// Tuning knobs for the calendar backend (ignored by the heap).
-struct event_queue_config {
-    queue_backend backend = queue_backend::calendar;
-    /// Wheel bucket width. Defaults to the 802.11a/g slot time: MAC
-    /// timers land on slot boundaries, so one bucket rarely holds more
-    /// than a handful of events.
-    time_us bucket_width_us = 9.0;
-    /// Wheel size (power of two). 4096 slots x 9 us ~ 37 ms of horizon
-    /// covers every MAC timer; only long timeouts and idle-source
-    /// arrivals overflow.
-    std::uint32_t bucket_count = 4096;
-};
-
-/// The process-default queue configuration: calendar backend, unless
-/// the environment overrides it (CSENSE_QUEUE_BACKEND=heap|calendar).
-/// Both backends produce byte-identical simulations, so the override
-/// is a pure wall-clock knob for perf A/B runs (tools/perf).
-const event_queue_config& default_queue_config() noexcept;
-
-/// The backend forced by CSENSE_QUEUE_BACKEND, if any. Scale-aware
-/// callers (mac::network) pick heap below a pending-population where a
-/// binary heap is near-optimal and calendar above it; the env override
-/// pins every queue in the process to one backend for A/B timing.
-std::optional<queue_backend> forced_queue_backend() noexcept;
 
 /// Deterministically ordered event queue with slot-recycling storage
 /// for the scheduled actions.
 class event_queue {
 public:
-    event_queue() : event_queue(default_queue_config()) {}
-    explicit event_queue(const event_queue_config& config);
+    explicit event_queue(queue_backend backend = queue_backend::calendar);
 
-    /// Switch backend/tuning before any event is scheduled (or after
-    /// every scheduled event has fired or been cancelled *and* been
-    /// swept out). Returns false - leaving the queue untouched - if
-    /// entries are still held anywhere. Lets owners that only learn
-    /// their scale after construction (a network learns its node count
-    /// as nodes are added) pick the backend at first run.
-    bool reconfigure(const event_queue_config& config);
+    /// Switch backend before any event is scheduled (or after every
+    /// scheduled event has fired or been cancelled *and* been swept
+    /// out). Returns false - leaving the queue untouched - if entries
+    /// are still held anywhere. Lets owners that only learn their scale
+    /// after construction (a network learns its node count as nodes are
+    /// added) pick the backend at first run.
+    bool reconfigure(queue_backend backend);
 
     /// Schedule `action` at absolute time `at`; returns a cancellable id.
     event_id schedule(time_us at, inline_action action);
@@ -250,19 +225,26 @@ private:
     void maybe_compact();
 
     queue_backend backend_ = queue_backend::calendar;
-    time_us bucket_width_ = 9.0;
-    time_us inv_bucket_width_ = 0.0;  ///< 1 / bucket_width_ (tick_of)
-    std::uint32_t bucket_mask_ = 0;  ///< bucket_count - 1 (power of two)
 
     // --- calendar backend state ---
     static constexpr std::uint32_t kNil = 0xffffffffu;  ///< list sentinel
+    /// Wheel bucket width: the 802.11a/g slot time. MAC timers land on
+    /// slot boundaries, so one bucket rarely holds more than a handful
+    /// of events.
+    static constexpr time_us kBucketWidthUs = 9.0;
+    static constexpr time_us kInvBucketWidth = 1.0 / kBucketWidthUs;
+    /// Wheel size (a power of two): 4096 buckets x 9 us ~ 37 ms of
+    /// horizon covers every MAC timer; only long timeouts and
+    /// idle-source arrivals overflow.
+    static constexpr std::uint32_t kBucketCount = 4096;
+    static constexpr std::uint32_t kBucketMask = kBucketCount - 1;
 
     /// Entries with tick <= current_tick_: a (time, sequence) min-heap.
     /// The pop path only ever pops from here.
     std::vector<entry> near_;
-    /// Wheel: bucket_head_[t & bucket_mask_] heads an intrusive list of
+    /// Wheel: bucket_head_[t & kBucketMask] heads an intrusive list of
     /// exactly the entries of one tick t in (current_tick_,
-    /// current_tick_ + bucket_count). List links and entry payloads live
+    /// current_tick_ + kBucketCount). List links and entry payloads live
     /// in wheel_node_, indexed by slot - a slot has at most one pending
     /// event, so this storage tracks the slot table's high-water mark
     /// and the wheel never allocates per insert.
@@ -270,7 +252,7 @@ private:
     std::vector<wheel_node> wheel_node_;  ///< indexed by slot
     /// One bit per bucket: non-empty. Scanned 64 buckets at a step.
     std::vector<std::uint64_t> occupied_;
-    /// Entries with tick >= current_tick_ + bucket_count, min-heap.
+    /// Entries with tick >= current_tick_ + kBucketCount, min-heap.
     std::vector<entry> far_;
     /// Reused by rebase() so re-anchoring allocates nothing in steady
     /// state.

@@ -10,25 +10,17 @@ namespace csense::sim {
 /// Discrete-event simulator kernel.
 class simulator {
 public:
-    simulator() = default;
-
-    /// Construct with an explicit queue configuration (backend
-    /// selection / wheel tuning); both backends produce identical
-    /// event order.
-    explicit simulator(const event_queue_config& config) : queue_(config) {}
+    /// Both queue backends produce identical event order.
+    explicit simulator(queue_backend backend = queue_backend::calendar)
+        : queue_(backend) {}
 
     /// Re-select the queue backend before the first event is scheduled;
     /// no-op (returns false) once events are in flight. Owners that
     /// learn their scale late use this: a binary heap is near-optimal
     /// for a handful of pending events, the calendar wheel wins once
     /// thousands of timers stand concurrently.
-    bool reconfigure_queue(const event_queue_config& config) {
-        return queue_.reconfigure(config);
-    }
-
-    /// The queue backend in use (A/B introspection).
-    queue_backend queue_backend_kind() const noexcept {
-        return queue_.backend();
+    bool reconfigure_queue(queue_backend backend) {
+        return queue_.reconfigure(backend);
     }
 
     /// Current simulation time (us).

@@ -1,10 +1,10 @@
 // Keyed, versioned, crash-safe on-disk result store.
 //
-// Generalizes the old ad-hoc testbed ensemble cache into the layer the
-// ROADMAP's sharding/server mode sits on: expensive deterministic units
-// of work (scenario results, campaign replication shards, testbed
-// ensembles) persist under a string key as they complete, and a
-// restarted run loads completed units instead of recomputing them.
+// Generalizes the old ad-hoc testbed ensemble cache into the layer
+// sharded campaigns sit on: expensive deterministic units of work
+// (scenario results, campaign replication shards, testbed ensembles)
+// persist under a string key as they complete, and a restarted run
+// loads completed units instead of recomputing them.
 //
 // Guarantees:
 //  - Atomic visibility: a record is written to `<file>.tmp` and renamed

@@ -1,11 +1,16 @@
 #include "src/store/run_keys.hpp"
 
 #include <algorithm>
+#include <vector>
 
 extern char** environ;
 
 namespace csense::store {
 
+namespace {
+
+/// Keeps the CSENSE_* entries (except CSENSE_THREADS), sorts, joins
+/// with ';'.
 std::string env_fingerprint_from_entries(std::vector<std::string> entries) {
     std::erase_if(entries, [](const std::string& entry) {
         const std::string_view e(entry);
@@ -20,6 +25,8 @@ std::string env_fingerprint_from_entries(std::vector<std::string> entries) {
     }
     return fp;
 }
+
+}  // namespace
 
 std::string current_env_fingerprint() {
     std::vector<std::string> entries;

@@ -1,10 +1,8 @@
 // The one place the checkpoint-store key scheme lives.
 //
-// PR 7 grew these strings inline in bench/main.cpp; now that three
-// binaries must agree on them byte-for-byte (csense_bench writing
-// shard stores, csense_merge validating and splicing them,
-// csense_sweep_serve using them as sweep-cache keys), the scheme is a
-// library contract:
+// Two binaries must agree on these strings byte-for-byte (csense_bench
+// writing shard stores, csense_merge validating and splicing them), so
+// the scheme is a library contract:
 //
 //   env fingerprint   sorted "K=V;K=V" of every CSENSE_* variable
 //                     except CSENSE_THREADS (results are thread-count
@@ -25,7 +23,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace csense::store {
 
@@ -36,11 +33,8 @@ inline constexpr std::string_view kBenchStoreSchema = "csense-bench/1";
 /// Key of the per-shard run manifest record (see shard_merge.hpp).
 inline constexpr std::string_view kManifestKey = "manifest/run";
 
-/// Builds the environment fingerprint from raw "K=V" entries: keeps
-/// CSENSE_* (except CSENSE_THREADS), sorts, joins with ';'.
-std::string env_fingerprint_from_entries(std::vector<std::string> entries);
-
-/// Fingerprint of the calling process's own environment.
+/// Fingerprint of the calling process's own environment: its CSENSE_*
+/// variables except CSENSE_THREADS, sorted, joined with ';'.
 std::string current_env_fingerprint();
 
 /// "<scenario>?seed=<n>&env=<fp>" — the run-configuration fingerprint

@@ -16,12 +16,6 @@ namespace {
 
 using namespace csense;
 
-sim::event_queue_config heap_config() {
-    sim::event_queue_config config;
-    config.backend = sim::queue_backend::heap;
-    return config;
-}
-
 // Wheel horizon of the default configuration: 4096 buckets x 9 us.
 constexpr double kHorizonUs = 4096 * 9.0;
 
@@ -132,7 +126,7 @@ TEST(CalendarQueue, NegativeAndHugeTimesStayOrdered) {
 
 TEST(CalendarQueue, BackendsReportConfiguredKind) {
     sim::event_queue calendar;
-    sim::event_queue heap(heap_config());
+    sim::event_queue heap(sim::queue_backend::heap);
     EXPECT_EQ(calendar.backend(), sim::queue_backend::calendar);
     EXPECT_EQ(heap.backend(), sim::queue_backend::heap);
 }
@@ -142,7 +136,7 @@ TEST(CalendarQueue, BackendsReportConfiguredKind) {
 // ids, identical cancel outcomes, and an identical pop sequence.
 TEST(EventQueueDifferential, RandomStreamsPopIdentically) {
     sim::event_queue calendar;
-    sim::event_queue heap(heap_config());
+    sim::event_queue heap(sim::queue_backend::heap);
     stats::rng gen(20260808);
 
     struct popped {
@@ -223,8 +217,8 @@ TEST(EventQueueDifferential, SimulatorRunsIdenticallyOnBothBackends) {
     // Kernel-level differential: the same self-scheduling workload under
     // a simulator on each backend executes the same number of events and
     // finishes at the same clock.
-    const auto run = [](const sim::event_queue_config& config) {
-        sim::simulator s(config);
+    const auto run = [](sim::queue_backend backend) {
+        sim::simulator s(backend);
         stats::rng gen(77);
         std::uint64_t sum = 0;
         struct ticker {
@@ -246,9 +240,8 @@ TEST(EventQueueDifferential, SimulatorRunsIdenticallyOnBothBackends) {
         s.run_all();
         return std::pair{s.events_executed(), sum};
     };
-    sim::event_queue_config calendar;
-    const auto a = run(calendar);
-    const auto b = run(heap_config());
+    const auto a = run(sim::queue_backend::calendar);
+    const auto b = run(sim::queue_backend::heap);
     EXPECT_EQ(a.first, b.first);
     EXPECT_EQ(a.second, b.second);
 }

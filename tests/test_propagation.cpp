@@ -6,7 +6,6 @@
 
 #include <cmath>
 
-#include "src/propagation/channel_model.hpp"
 #include "src/propagation/diffraction.hpp"
 #include "src/propagation/fading.hpp"
 #include "src/propagation/path_loss.hpp"
@@ -235,46 +234,6 @@ TEST(CombinePaths, EqualPathsGainThreeDb) {
 
 TEST(CombinePaths, RejectsEmpty) {
     EXPECT_THROW(combine_paths_db(nullptr, 0), std::invalid_argument);
-}
-
-TEST(ChannelModel, LinkBudgetComposition) {
-    auto loss = std::make_shared<power_law_path_loss>(3.0, 40.0);
-    auto shadow = std::make_shared<no_shadowing>();
-    channel_model model(loss, shadow, radio_parameters{15.0, -95.0});
-    EXPECT_NEAR(model.median_rx_power_dbm(10.0), 15.0 - 70.0, 1e-12);
-    EXPECT_NEAR(model.snr_db(1, 2, 10.0), 15.0 - 70.0 + 95.0, 1e-12);
-    EXPECT_NEAR(model.link_gain_db(1, 2, 10.0), -70.0, 1e-12);
-}
-
-TEST(ChannelModel, ShadowAddsToBudget) {
-    auto loss = std::make_shared<power_law_path_loss>(3.0, 40.0);
-    auto shadow = std::make_shared<iid_shadowing>(8.0, 3);
-    channel_model model(loss, shadow, radio_parameters{});
-    const double expected_shadow = shadow->shadow_db(1, 2);
-    EXPECT_NEAR(model.rx_power_dbm(1, 2, 10.0) -
-                    model.median_rx_power_dbm(10.0),
-                expected_shadow, 1e-12);
-}
-
-TEST(ChannelModel, FadingDisabledIsZero) {
-    auto loss = std::make_shared<power_law_path_loss>(3.0, 40.0);
-    auto shadow = std::make_shared<no_shadowing>();
-    channel_model model(loss, shadow, radio_parameters{});
-    csense::stats::rng gen(5);
-    EXPECT_DOUBLE_EQ(model.sample_fading_db(gen), 0.0);
-    model.enable_fading(48);
-    double sum = 0.0;
-    for (int i = 0; i < 1000; ++i) sum += model.sample_fading_db(gen);
-    EXPECT_NE(sum, 0.0);
-}
-
-TEST(ChannelModel, RejectsNullComponents) {
-    auto loss = std::make_shared<power_law_path_loss>(3.0, 40.0);
-    EXPECT_THROW(channel_model(nullptr, std::make_shared<no_shadowing>(),
-                               radio_parameters{}),
-                 std::invalid_argument);
-    EXPECT_THROW(channel_model(loss, nullptr, radio_parameters{}),
-                 std::invalid_argument);
 }
 
 }  // namespace

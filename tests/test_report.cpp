@@ -1,4 +1,4 @@
-// Reporting utilities: tables, CSV escaping, ASCII charts, and the JSON
+// Reporting utilities: tables, ASCII charts, and the JSON
 // parse/dump round trip the checkpoint machinery splices records with.
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/report/ascii_plot.hpp"
-#include "src/report/csv.hpp"
 #include "src/report/json.hpp"
 #include "src/report/table.hpp"
 
@@ -109,19 +108,6 @@ TEST(Table, Formatting) {
     EXPECT_EQ(fmt(2.0, 0), "2");
     EXPECT_EQ(fmt_percent(0.876, 0), "88%");
     EXPECT_EQ(fmt_percent(0.876, 1), "87.6%");
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-    EXPECT_EQ(csv_escape("plain"), "plain");
-    EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-    EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-    EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(Csv, LineAndDocument) {
-    EXPECT_EQ(csv_line({"a", "b,c", "d"}), "a,\"b,c\",d");
-    const auto doc = csv_document({{"h1", "h2"}, {"1", "2"}});
-    EXPECT_EQ(doc, "h1,h2\n1,2\n");
 }
 
 TEST(Chart, RendersSeriesMarkersAndLegend) {

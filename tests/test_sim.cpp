@@ -289,17 +289,18 @@ TEST(Allocation, SteadyStateKernelEventsAllocateNothing) {
 #endif
 }
 
-TEST(Allocation, SteadyStateMacRunAllocatesNothing) {
-    // End-to-end: a saturated two-pair broadcast run - DCF timers,
-    // medium fan-out, frame delivery - in steady state performs zero
-    // heap allocations per event. Warm-up runs until the transmission
-    // log has been through its compaction cycle so vector capacities
-    // (and the per-src stats map) are settled.
-#if !CSENSE_ALLOC_HOOK
-    GTEST_SKIP() << "allocator hook disabled under sanitizers";
-#else
+#if CSENSE_ALLOC_HOOK
+/// Heap allocations during one simulated second of a saturated two-pair
+/// broadcast run - DCF timers, medium fan-out, frame delivery - counted
+/// after a two-second warm-up. The warm-up puts thousands of frames
+/// through every node's transmission slot, so vector capacities (the
+/// slots' faded rows, the delivery scratch, the queue's slot table and
+/// the per-src stats map) are settled before counting.
+std::uint64_t steady_state_mac_allocations(double fading_sigma_db) {
     using namespace csense;
-    mac::network net(mac::radio_config{}, 4242);
+    mac::radio_config radio;
+    radio.fading_sigma_db = fading_sigma_db;
+    mac::network net(radio, 4242);
     mac::mac_config sender_cfg;
     sender_cfg.sense = mac::cs_mode::energy_and_preamble;
     mac::mac_config receiver_cfg;
@@ -319,17 +320,32 @@ TEST(Allocation, SteadyStateMacRunAllocatesNothing) {
                              mac::broadcast_id, rate, 100);
     net.node(s2).set_traffic(mac::traffic_mode::broadcast,
                              mac::broadcast_id, rate, 100);
-    // 100-byte frames at 24 Mb/s put >4096 transmissions on the air
-    // well within two sim-seconds, forcing log compactions during
-    // warm-up so capacities stop moving.
     net.run(2e6);
-    const auto warmed_log = net.air().transmission_log_size();
 
     g_allocation_count = 0;
     net.run(1e6);
-    EXPECT_EQ(g_allocation_count, 0u)
-        << "MAC hot path allocated in steady state (warmed log size "
-        << warmed_log << ")";
+    return g_allocation_count;
+}
+#endif
+
+TEST(Allocation, SteadyStateMacRunAllocatesNothing) {
+#if !CSENSE_ALLOC_HOOK
+    GTEST_SKIP() << "allocator hook disabled under sanitizers";
+#else
+    EXPECT_EQ(steady_state_mac_allocations(0.0), 0u)
+        << "MAC hot path allocated in steady state";
+#endif
+}
+
+TEST(Allocation, FadedSteadyStateMacRunAllocatesNothing) {
+    // With fading every frame carries its own faded rx row; the row
+    // lives in the transmitter's slot and keeps its capacity, so faded
+    // frames allocate nothing either.
+#if !CSENSE_ALLOC_HOOK
+    GTEST_SKIP() << "allocator hook disabled under sanitizers";
+#else
+    EXPECT_EQ(steady_state_mac_allocations(4.0), 0u)
+        << "faded MAC hot path allocated in steady state";
 #endif
 }
 

@@ -1,10 +1,9 @@
-// Streaming summaries (Welford) and histogram quantiles.
+// Streaming summaries (Welford): moments, merging, confidence intervals.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "src/stats/histogram.hpp"
 #include "src/stats/rng.hpp"
 #include "src/stats/summary.hpp"
 
@@ -74,63 +73,6 @@ TEST(RunningSummary, ConfidenceIntervalShrinks) {
     EXPECT_GT(small.ci_halfwidth(), large.ci_halfwidth());
     // 95% CI of N(0,1) mean with n = 10000 is about +-0.0196.
     EXPECT_NEAR(large.ci_halfwidth(), 1.96 / 100.0, 0.004);
-}
-
-TEST(Histogram, CountsAndRanges) {
-    histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 100; ++i) h.add(i * 0.1);  // 0.0 .. 9.9
-    EXPECT_EQ(h.total(), 100u);
-    EXPECT_EQ(h.underflow(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-    for (std::size_t b = 0; b < 10; ++b) {
-        EXPECT_EQ(h.count(b), 10u) << "bin " << b;
-    }
-}
-
-TEST(Histogram, UnderflowOverflow) {
-    histogram h(0.0, 1.0, 4);
-    h.add(-0.5);
-    h.add(1.5);
-    h.add(1.0);  // hi boundary counts as overflow
-    h.add(0.0);  // lo boundary counts in-range
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.count(0), 1u);
-}
-
-TEST(Histogram, QuantilesOfUniform) {
-    histogram h(0.0, 1.0, 100);
-    rng gen(9);
-    for (int i = 0; i < 100000; ++i) h.add(gen.uniform());
-    EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-    EXPECT_NEAR(h.quantile(0.1), 0.1, 0.02);
-    EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-}
-
-TEST(Histogram, CdfMonotone) {
-    histogram h(0.0, 10.0, 20);
-    rng gen(11);
-    for (int i = 0; i < 10000; ++i) h.add(gen.uniform(0.0, 10.0));
-    double prev = -1.0;
-    for (double x = -1.0; x <= 11.0; x += 0.5) {
-        const double c = h.cdf(x);
-        EXPECT_GE(c, prev);
-        prev = c;
-    }
-    EXPECT_DOUBLE_EQ(h.cdf(-1.0), 0.0);
-    EXPECT_DOUBLE_EQ(h.cdf(11.0), 1.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-    EXPECT_THROW(histogram(1.0, 1.0, 10), std::invalid_argument);
-    EXPECT_THROW(histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, QuantileErrors) {
-    histogram h(0.0, 1.0, 4);
-    EXPECT_THROW(h.quantile(0.5), std::logic_error);
-    h.add(0.5);
-    EXPECT_THROW(h.quantile(1.5), std::invalid_argument);
 }
 
 }  // namespace
