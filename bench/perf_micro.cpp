@@ -5,6 +5,7 @@
 // second.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -187,52 +188,49 @@ void bm_event_queue(benchmark::State& state) {
 }
 BENCHMARK(bm_event_queue)->Apply(tune);
 
-void bm_event_schedule_cancel(benchmark::State& state) {
+void bm_event_rearm(benchmark::State& state) {
     // The MAC's dominant scheduler pattern at dense-network scale: every
     // node keeps a backoff/DIFS timer armed, and a channel busy/idle
-    // flip cancels and re-arms a whole cohort of them at once, so a
-    // camp05/camp06-sized run holds thousands of pending timers while
-    // near-term events churn. bm_event_queue only drains; this maintains
-    // one outstanding timer per "node" (2000, the camp05 dense sweep's
-    // top N), re-arms a cohort per simulated slot, and measures the
-    // schedule -> cancel -> reschedule cycle against that standing
-    // population. The timer closure carries the same 32-byte payload as
-    // the DCF's timer dispatch (this + generation + member-function
-    // handler), so the cost of type-erasing the callable is the cost the
-    // MAC actually pays per arm.
+    // flip re-arms a whole cohort of them at once, so a camp05/camp06-
+    // sized run holds thousands of pending timers while near-term events
+    // churn. bm_event_queue only drains; this keeps one live timer per
+    // "node" (2000, the camp05 dense sweep's top N), re-arms a cohort per
+    // simulated slot, and measures the arm -> supersede -> re-arm cycle
+    // against that standing population. A re-arm does what
+    // dcf_node::schedule_timer does: it bumps the node's generation and
+    // schedules afresh, and the superseded timer later pops and returns
+    // without acting. The timer closure carries a 32-byte payload, the
+    // size of the DCF's timer dispatch (this + generation +
+    // member-function handler).
     constexpr int kNodes = 2000;
     constexpr int kCohort = 40;
     constexpr int kRounds = 1000;
-    std::vector<sim::event_id> timers(kNodes);
+    std::vector<std::uint64_t> generations(kNodes);
     for (auto _ : state) {
         sim::simulator simulator;
         std::uint64_t fired = 0;
-        std::uint64_t generation = 0;
+        std::fill(generations.begin(), generations.end(), 0);
         const auto arm = [&](int n) {
             const double deadline = 500.0 + 9.0 * (n % 64);
-            const auto node = static_cast<std::uint64_t>(n);
-            return simulator.schedule_in(
-                deadline, [&fired, generation, node, deadline] {
-                    fired += generation + node + static_cast<std::uint64_t>(deadline);
+            const auto node = static_cast<std::size_t>(n);
+            const std::uint64_t generation = ++generations[node];
+            simulator.schedule_in(
+                deadline, [&fired, &generations, generation, node] {
+                    if (generation != generations[node]) return;
+                    fired += generation + node;
                 });
         };
-        for (int n = 0; n < kNodes; ++n) timers[n] = arm(n);
+        for (int n = 0; n < kNodes; ++n) arm(n);
         for (int i = 0; i < kRounds; ++i) {
-            for (int j = 0; j < kCohort; ++j) {
-                const int n = (i * kCohort + j) % kNodes;
-                ++generation;
-                simulator.cancel(timers[n]);
-                timers[n] = arm(n);
-            }
+            for (int j = 0; j < kCohort; ++j) arm((i * kCohort + j) % kNodes);
             simulator.schedule_in(9.0, [&fired] { ++fired; });
             simulator.run_until(simulator.now() + 9.0);
         }
-        for (const auto id : timers) simulator.cancel(id);
         simulator.run_all();
         benchmark::DoNotOptimize(fired);
     }
 }
-BENCHMARK(bm_event_schedule_cancel)
+BENCHMARK(bm_event_rearm)
     ->Unit(benchmark::kMillisecond)
     ->Apply(tune);
 
@@ -287,8 +285,8 @@ BENCHMARK(bm_medium_dense)->Apply(medium_dense_args);
 struct counting_listener final : mac::medium_listener {
     std::uint64_t flips = 0;
     void on_energy_busy(bool) override { ++flips; }
-    void on_preamble(const mac::frame&, double, sim::time_us) override {}
-    void on_frame_received(const mac::frame&, double, double, bool) override {}
+    void on_preamble(sim::time_us) override {}
+    void on_frame_received(const mac::frame&, bool) override {}
     void on_tx_complete(const mac::frame&) override {}
 };
 

@@ -4,50 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/propagation/units.hpp"
-
 namespace csense::capacity {
-namespace {
-
-double q_function(double x) { return 0.5 * std::erfc(x / std::sqrt(2.0)); }
-
-}  // namespace
-
-awgn_per_model::awgn_per_model(double coding_gain_db)
-    : coding_gain_db_(coding_gain_db) {}
-
-double awgn_per_model::uncoded_ber(modulation mod, double snr_linear) {
-    // Standard approximations for Gray-coded square constellations, with
-    // snr_linear interpreted as per-symbol Es/N0 spread over the bits.
-    switch (mod) {
-        case modulation::bpsk:
-            return q_function(std::sqrt(2.0 * snr_linear));
-        case modulation::qpsk:
-            return q_function(std::sqrt(snr_linear));
-        case modulation::qam16:
-            return 0.75 * q_function(std::sqrt(snr_linear / 5.0));
-        case modulation::qam64:
-            return (7.0 / 12.0) * q_function(std::sqrt(snr_linear / 21.0));
-    }
-    throw std::invalid_argument("uncoded_ber: unknown modulation");
-}
-
-double awgn_per_model::packet_error_rate(const phy_rate& rate, double sinr_db,
-                                         int payload_bytes) const {
-    if (payload_bytes <= 0) {
-        throw std::invalid_argument("packet_error_rate: payload must be positive");
-    }
-    // Coding gain scaled by how much redundancy the code actually has:
-    // rate-1/2 gets the full gain, rate-3/4 roughly half of it.
-    const double redundancy = 2.0 * (1.0 - rate.code_rate);
-    const double effective_snr = propagation::db_to_linear(
-        sinr_db + coding_gain_db_ * redundancy);
-    const double ber = uncoded_ber(rate.mod, effective_snr);
-    const double bits = 8.0 * static_cast<double>(payload_bytes);
-    // Independent-bit approximation, computed in log space for stability.
-    const double log_success = bits * std::log1p(-std::min(ber, 1.0 - 1e-15));
-    return 1.0 - std::exp(log_success);
-}
 
 logistic_per_model::logistic_per_model(double width_db, int reference_bytes)
     : width_db_(width_db), reference_bytes_(reference_bytes) {

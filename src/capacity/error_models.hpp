@@ -1,66 +1,34 @@
-// SINR -> packet-error-rate models for the packet-level simulator.
-// Two interchangeable models:
-//  - awgn_per_model: modulation-theoretic bit error rates (Q-function
-//    forms per constellation) with a per-rate effective coding gain,
-//    turned into PER through the independent-bit approximation;
-//  - logistic_per_model: a phenomenological logistic in dB SNR centred
-//    at each rate's sensitivity point, the shape packet simulators such
-//    as ns-3's YANS model use.
-// Both produce the step-like fixed-rate behaviour §3.3.2 contrasts with
-// adaptive bitrate's smooth Shannon curve.
+// SINR -> packet-error-rate model for the packet-level simulator: a
+// phenomenological logistic in dB SNR centred at each rate's
+// sensitivity point, the shape packet simulators such as ns-3's YANS
+// model use. It produces the step-like fixed-rate behaviour §3.3.2
+// contrasts with adaptive bitrate's smooth Shannon curve.
 #pragma once
 
 #include "src/capacity/rate_table.hpp"
 
 namespace csense::capacity {
 
-/// Interface: probability that a frame of `payload_bytes` at `rate` is
-/// lost at the given SINR.
-class error_model {
-public:
-    virtual ~error_model() = default;
-
-    /// Packet error rate in [0, 1].
-    virtual double packet_error_rate(const phy_rate& rate, double sinr_db,
-                                     int payload_bytes) const = 0;
-
-    /// Convenience: delivery rate = 1 - PER.
-    double delivery_rate(const phy_rate& rate, double sinr_db,
-                         int payload_bytes) const {
-        return 1.0 - packet_error_rate(rate, sinr_db, payload_bytes);
-    }
-};
-
-/// Q-function based AWGN model with per-rate coding gain.
-class awgn_per_model final : public error_model {
-public:
-    /// `coding_gain_db` approximates the convolutional code's benefit; the
-    /// default 5 dB matches rate-1/2 K=7 Viterbi decoding at ~1e-5 BER.
-    explicit awgn_per_model(double coding_gain_db = 5.0);
-
-    double packet_error_rate(const phy_rate& rate, double sinr_db,
-                             int payload_bytes) const override;
-
-    /// Raw (uncoded) bit error rate for a modulation at the given
-    /// per-symbol SNR (linear).
-    static double uncoded_ber(modulation mod, double snr_linear);
-
-private:
-    double coding_gain_db_;
-};
-
 /// Logistic PER curve: PER = 1 / (1 + exp((sinr - midpoint) / width)),
 /// with midpoint at the rate's sensitivity and a reference frame length;
 /// longer frames shift the curve right by the independent-bit rule.
-class logistic_per_model final : public error_model {
+class logistic_per_model {
 public:
     /// `width_db` controls the sharpness of the waterfall region
     /// (typically ~0.5-1.5 dB for OFDM with coding).
     explicit logistic_per_model(double width_db = 1.0,
                                 int reference_bytes = 1000);
 
+    /// Probability in [0, 1] that a frame of `payload_bytes` at `rate`
+    /// is lost at the given SINR.
     double packet_error_rate(const phy_rate& rate, double sinr_db,
-                             int payload_bytes) const override;
+                             int payload_bytes) const;
+
+    /// Convenience: delivery rate = 1 - PER.
+    double delivery_rate(const phy_rate& rate, double sinr_db,
+                         int payload_bytes) const {
+        return 1.0 - packet_error_rate(rate, sinr_db, payload_bytes);
+    }
 
 private:
     double width_db_;

@@ -104,8 +104,9 @@ void sample_rate::report(const phy_rate& rate, bool delivered, double) {
 }
 
 const phy_rate& best_fixed_rate_oracle(const std::vector<phy_rate>& table,
-                                       const error_model& model, double sinr_db,
-                                       int payload_bytes, int cw_min) {
+                                       const logistic_per_model& model,
+                                       double sinr_db, int payload_bytes,
+                                       int cw_min) {
     if (table.empty()) {
         throw std::invalid_argument("best_fixed_rate_oracle: empty table");
     }

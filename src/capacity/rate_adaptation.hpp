@@ -1,7 +1,6 @@
 // Bitrate adaptation algorithms. The thesis treats adaptation as the
 // MAC's most important lever (§1) and assumes a "reasonable bitrate
 // adaptation algorithm (such as [Bicket05])". We provide:
-//  - fixed_rate: no adaptation (the baseline the thesis criticizes);
 //  - best_fixed_rate_oracle: the thesis' own experimental method -
 //    independently identify the best rate per run;
 //  - arf: Auto Rate Fallback, the classic success/failure counter;
@@ -29,22 +28,6 @@ public:
     /// Report the outcome of the last transmission at `rate`.
     virtual void report(const phy_rate& rate, bool delivered,
                         double airtime_us) = 0;
-
-    /// Name for reporting.
-    virtual const char* name() const noexcept = 0;
-};
-
-/// Always the same rate.
-class fixed_rate final : public rate_adaptation {
-public:
-    explicit fixed_rate(const phy_rate& rate) : rate_(&rate) {}
-
-    const phy_rate& next_rate() override { return *rate_; }
-    void report(const phy_rate&, bool, double) override {}
-    const char* name() const noexcept override { return "fixed"; }
-
-private:
-    const phy_rate* rate_;
 };
 
 /// ARF: move up one rate after `up_after` consecutive successes, down one
@@ -56,9 +39,6 @@ public:
 
     const phy_rate& next_rate() override;
     void report(const phy_rate& rate, bool delivered, double airtime_us) override;
-    const char* name() const noexcept override { return "arf"; }
-
-    std::size_t current_index() const noexcept { return index_; }
 
 private:
     std::vector<phy_rate> table_;
@@ -81,7 +61,6 @@ public:
 
     const phy_rate& next_rate() override;
     void report(const phy_rate& rate, bool delivered, double airtime_us) override;
-    const char* name() const noexcept override { return "samplerate"; }
 
     /// Expected air time per delivered packet for a rate index (us);
     /// infinite when the rate has seen only failures.
@@ -109,7 +88,8 @@ private:
 /// rate in `table` at a fixed SINR using `model`, and return the rate
 /// maximizing delivered packets/second of a saturated broadcast sender.
 const phy_rate& best_fixed_rate_oracle(const std::vector<phy_rate>& table,
-                                       const error_model& model, double sinr_db,
-                                       int payload_bytes, int cw_min = 15);
+                                       const logistic_per_model& model,
+                                       double sinr_db, int payload_bytes,
+                                       int cw_min = 15);
 
 }  // namespace csense::capacity

@@ -25,10 +25,6 @@ dcf_node::dcf_node(sim::simulator& sim, medium& med, mac_config config,
     hot_->cw = config_.cw_min;
 }
 
-dcf_node::~dcf_node() {
-    if (arrival_event_.has_value()) sim_.cancel(*arrival_event_);
-}
-
 void dcf_node::set_traffic(traffic_mode mode, node_id destination,
                            const capacity::phy_rate& rate, int payload_bytes) {
     if (payload_bytes <= 0) throw std::invalid_argument("dcf_node: payload");
@@ -70,7 +66,7 @@ void dcf_node::start() {
 
 void dcf_node::schedule_next_arrival() {
     const sim::time_us gap = source_->next_interarrival_us(arrival_rng_);
-    arrival_event_ = sim_.schedule_in(gap, [this] { on_arrival(); });
+    sim_.schedule_in(gap, [this] { on_arrival(); });
 }
 
 void dcf_node::on_arrival() {
@@ -354,7 +350,7 @@ void dcf_node::on_energy_busy(bool busy) {
     reevaluate();
 }
 
-void dcf_node::on_preamble(const frame&, double, sim::time_us until) {
+void dcf_node::on_preamble(sim::time_us until) {
     if (!senses_preambles()) return;  // this radio's CCA ignores preambles
     if (until > hot_->preamble_busy_until) {
         hot_->preamble_busy_until = until;
@@ -366,8 +362,7 @@ void dcf_node::on_preamble(const frame&, double, sim::time_us until) {
     }
 }
 
-void dcf_node::on_frame_received(const frame& f, double, double,
-                                 bool decoded) {
+void dcf_node::on_frame_received(const frame& f, bool decoded) {
     if (f.kind == frame_kind::data) {
         if (decoded) {
             ++stats_.rx_data_decoded;
@@ -405,7 +400,7 @@ void dcf_node::on_frame_received(const frame& f, double, double,
         case frame_kind::cts:
             if (for_me && hot_->state == state::awaiting_cts) {
                 // Protected: send the data frame after SIFS.
-                ++hot_->timer_generation;  // cancel the CTS timeout
+                ++hot_->timer_generation;  // retire the CTS timeout
                 hot_->state = state::responding;
                 sim_.schedule_in(ofdm_timing::sifs_us, [this] {
                     if (hot_->state == state::responding &&
@@ -421,7 +416,7 @@ void dcf_node::on_frame_received(const frame& f, double, double,
             break;
         case frame_kind::ack:
             if (for_me && hot_->state == state::awaiting_ack) {
-                ++hot_->timer_generation;  // cancel the ACK timeout
+                ++hot_->timer_generation;  // retire the ACK timeout
                 ++stats_.data_acked;
                 note_unicast_outcome(true);
                 packet_done(true);

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "src/capacity/rate_adaptation.hpp"
@@ -48,6 +47,14 @@ struct node_stats {
 };
 
 /// One DCF station.
+///
+/// The node's events (DIFS and slot timers, response timeouts, the
+/// preamble and NAV wake-ups, traffic arrivals) capture `this` and are
+/// never withdrawn from the simulator: a superseded timer is retired by
+/// bumping the node's timer generation, and it pops as a no-op. So a
+/// node must outlive every run() of its simulator. mac::network
+/// guarantees this: it owns the simulator, declares it first, and runs
+/// nothing after its nodes die.
 class dcf_node final : public medium_listener {
 public:
     /// Creates the node and registers it with the medium. `hot` points
@@ -56,10 +63,6 @@ public:
     /// so standalone construction keeps working.
     dcf_node(sim::simulator& sim, medium& med, mac_config config,
              std::uint64_t seed, dcf_hot_state* hot = nullptr);
-
-    /// Cancels any pending arrival event (the owning network's simulator
-    /// outlives its nodes, so teardown mid-run is safe).
-    ~dcf_node() override;
 
     node_id id() const noexcept { return id_; }
     const node_stats& stats() const noexcept { return stats_; }
@@ -121,10 +124,8 @@ public:
 
     // medium_listener interface.
     void on_energy_busy(bool busy) override;
-    void on_preamble(const frame& f, double rx_power_dbm,
-                     sim::time_us until) override;
-    void on_frame_received(const frame& f, double rx_power_dbm,
-                           double min_sinr_db, bool decoded) override;
+    void on_preamble(sim::time_us until) override;
+    void on_frame_received(const frame& f, bool decoded) override;
     void on_tx_complete(const frame& f) override;
 
 private:
@@ -180,7 +181,6 @@ private:
     stats::rng arrival_rng_;  ///< re-derived at start() via split("traffic")
     std::deque<sim::time_us> queue_;  ///< enqueue timestamps, FIFO order
     sim::time_us head_enqueued_us_ = 0.0;  ///< of the packet in service
-    std::optional<sim::event_id> arrival_event_;
     stats::streaming_quantiles sojourn_;
 
     // Per-event hot state (channel sense + contention + timer

@@ -36,7 +36,7 @@ double cca_threshold_mw(double threshold_dbm) {
 }  // namespace
 
 medium::medium(sim::simulator& sim, radio_config radio,
-               const capacity::error_model& errors, std::uint64_t seed)
+               const capacity::logistic_per_model& errors, std::uint64_t seed)
     : sim_(sim), radio_(radio), errors_(errors), rng_(seed) {
     // A disabled floor is a floor at -infinity and passes trivially.
     if (radio_.audibility_floor_dbm >= radio_.preamble_threshold_dbm ||
@@ -387,14 +387,9 @@ void medium::start_transmission(node_id src, const frame& f,
         // The preamble is decodable at this node: announce it (carrier
         // sense hook) after the CCA lag, and lock if the receiver is free.
         medium_listener* listener = listeners_[n];
-        const frame announced = t.f;
-        const double power_dbm = propagation::mw_to_dbm(power_mw);
         const sim::time_us until = t.end;
         sim_.schedule_in(radio_.cca_delay_us,
-                         [listener, announced, power_dbm, until] {
-                             listener->on_preamble(announced, power_dbm,
-                                                   until);
-                         });
+                         [listener, until] { listener->on_preamble(until); });
         if (!lock) {
             lock = reception{src, power_mw, power_mw / interference};
         }
@@ -437,8 +432,7 @@ void medium::end_transmission(node_id src) {
         const double per =
             errors_.packet_error_rate(*ended.rate, sinr_db, ended.bytes);
         const bool decoded = rng_.uniform() >= per;
-        deliveries.push_back(
-            {n, propagation::mw_to_dbm(lock->signal_mw), sinr_db, decoded});
+        deliveries.push_back({n, decoded});
         lock.reset();
     }
     if (radio_.power_refresh_interval > 0 &&
@@ -447,8 +441,7 @@ void medium::end_transmission(node_id src) {
         ends_since_refresh_ = 0;
     }
     for (const auto& d : deliveries) {
-        listeners_[d.rx]->on_frame_received(ended, d.power_dbm, d.sinr_db,
-                                            d.decoded);
+        listeners_[d.rx]->on_frame_received(ended, d.decoded);
     }
     sample_cca_after_delay(src);
     listeners_[src]->on_tx_complete(ended);

@@ -9,10 +9,15 @@
 //    capture threshold (radio_config::preamble_capture_snr_db);
 //  - there is no receive abort: once locked, a stronger later frame is
 //    just interference (the thesis notes its testbed ran this way);
-//  - the frame decodes with probability 1 - PER evaluated at the worst
-//    SINR observed during the reception;
+//  - the frame decodes with probability 1 - PER (the logistic model,
+//    capacity::logistic_per_model) evaluated at the worst SINR observed
+//    during the reception;
 //  - nodes that are transmitting hear nothing - the root of the
 //    "chain collision" pathology for preamble-based carrier sense.
+//
+// Listeners hear only what they act on: a passing preamble reports the
+// frame's end time, and a finished reception reports the frame and
+// whether it decoded. Powers and SINRs stay inside the medium.
 //
 // Energy-detect CCA lives here, not in the nodes. Each node registers
 // its threshold, which the medium holds in mW next to the node's last
@@ -78,13 +83,11 @@ public:
 
     /// A decodable preamble passed by (node idle or locked, power above
     /// sensitivity). `until` is the frame's scheduled end time.
-    virtual void on_preamble(const frame& f, double rx_power_dbm,
-                             sim::time_us until) = 0;
+    virtual void on_preamble(sim::time_us until) = 0;
 
-    /// A locked reception finished. `decoded` reflects the PER draw at
-    /// the worst SINR seen during the frame.
-    virtual void on_frame_received(const frame& f, double rx_power_dbm,
-                                   double min_sinr_db, bool decoded) = 0;
+    /// A locked reception of `f` finished. `decoded` reflects the PER
+    /// draw at the worst SINR seen during the frame.
+    virtual void on_frame_received(const frame& f, bool decoded) = 0;
 
     /// This node's own transmission left the air.
     virtual void on_tx_complete(const frame& f) = 0;
@@ -106,8 +109,9 @@ public:
     /// Throws std::invalid_argument when the audibility floor is enabled
     /// but not below the preamble sensitivity (culling must only drop
     /// power that is negligible for every CCA and preamble decision).
+    /// `errors` must outlive the medium.
     medium(sim::simulator& sim, radio_config radio,
-           const capacity::error_model& errors, std::uint64_t seed);
+           const capacity::logistic_per_model& errors, std::uint64_t seed);
 
     /// Register a node; ids must be assigned densely from 0. The node's
     /// CCA threshold starts at `cca_threshold_dbm` (radio().
@@ -235,7 +239,7 @@ private:
 
     sim::simulator& sim_;
     radio_config radio_;
-    const capacity::error_model& errors_;
+    const capacity::logistic_per_model& errors_;
     stats::rng rng_;
     std::vector<medium_listener*> listeners_;
     std::vector<cca_state> cca_;
@@ -262,8 +266,6 @@ private:
     /// all lock bookkeeping (they may re-enter start_transmission).
     struct delivery {
         node_id rx;
-        double power_dbm;
-        double sinr_db;
         bool decoded;
     };
     /// Reused by end_transmission: capacity reaches its high-water mark

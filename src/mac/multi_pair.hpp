@@ -149,10 +149,6 @@ struct multi_pair_prediction {
     double concurrent = 0.0;    ///< per-pair mean bits/s/Hz, all senders on
     double multiplexing = 0.0;  ///< per-pair mean bits/s/Hz, 1/n share
     bool cs_defers = false;     ///< the cluster decision at cs_threshold_dbm
-
-    double predicted_best() const noexcept {
-        return concurrent > multiplexing ? concurrent : multiplexing;
-    }
 };
 
 multi_pair_prediction predict_multi_pair(const multi_pair_topology& topology,

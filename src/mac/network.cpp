@@ -4,12 +4,8 @@
 
 namespace csense::mac {
 
-network::network(radio_config radio, std::uint64_t seed,
-                 std::unique_ptr<capacity::error_model> errors)
-    : errors_(errors ? std::move(errors)
-                     : std::make_unique<capacity::logistic_per_model>()),
-      seed_(seed) {
-    medium_ = std::make_unique<medium>(sim_, radio, *errors_, seed ^ 0xabcdef);
+network::network(radio_config radio, std::uint64_t seed) : seed_(seed) {
+    medium_ = std::make_unique<medium>(sim_, radio, errors_, seed ^ 0xabcdef);
 }
 
 node_id network::add_node(const mac_config& config) {
@@ -38,7 +34,7 @@ void network::run(sim::time_us duration_us) {
         // then stands). Both backends pop in identical order, so this
         // is a pure wall-clock choice: a binary heap is near-optimal
         // for the handful of pending events a one- or two-pair run
-        // keeps, while the calendar wheel's O(1) arm/cancel wins once
+        // keeps, while the calendar wheel's O(1) arming wins once
         // hundreds of nodes hold standing timers.
         constexpr std::size_t kDenseNodeThreshold = 256;
         sim_.reconfigure_queue(nodes_.size() >= kDenseNodeThreshold

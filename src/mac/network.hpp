@@ -12,11 +12,13 @@
 
 namespace csense::mac {
 
-/// Owns every object a scenario needs, in construction order.
+/// Owns every object a scenario needs, in construction order. The
+/// simulator comes first, so it is destroyed last, and nothing runs
+/// after the nodes die: every pending event that captures a node or the
+/// medium is destroyed with the queue, never popped.
 class network {
 public:
-    network(radio_config radio, std::uint64_t seed,
-            std::unique_ptr<capacity::error_model> errors = nullptr);
+    network(radio_config radio, std::uint64_t seed);
 
     /// Add a node with the given MAC configuration; returns its id.
     node_id add_node(const mac_config& config);
@@ -40,7 +42,7 @@ public:
 
 private:
     sim::simulator sim_;
-    std::unique_ptr<capacity::error_model> errors_;
+    capacity::logistic_per_model errors_;
     std::unique_ptr<medium> medium_;
     /// Hot per-node MAC state, one cache line per node, contiguous
     /// chunks: the event handlers' working set at N=2000. Declared
@@ -57,12 +59,6 @@ struct pair_run_result {
     double pps_pair2 = 0.0;
     double total_pps() const noexcept { return pps_pair1 + pps_pair2; }
     medium_counters counters;
-};
-
-/// Configuration of one sender-receiver pair for a competition run.
-struct pair_spec {
-    double sender_gain_db = 0.0;       ///< sender -> receiver link gain
-    const capacity::phy_rate* rate = nullptr;
 };
 
 /// Gains between the four nodes of a two-pair scenario; indices:

@@ -13,7 +13,6 @@ public:
     sim::time_us next_interarrival_us(stats::rng& gen) override {
         return gen.exponential(rate_per_us_);
     }
-    const char* name() const noexcept override { return "poisson"; }
 
 private:
     double rate_per_us_;
@@ -26,7 +25,6 @@ public:
     sim::time_us next_interarrival_us(stats::rng&) override {
         return period_us_;  // deterministic spacing, no RNG consumed
     }
-    const char* name() const noexcept override { return "cbr"; }
 
 private:
     double period_us_;
@@ -60,7 +58,6 @@ public:
             on_left_us_ = 0.0;
         }
     }
-    const char* name() const noexcept override { return "on_off"; }
 
 private:
     double peak_rate_per_us_;

@@ -24,9 +24,6 @@ public:
     /// Gap to the next packet arrival, microseconds (> 0). Draws only
     /// from `gen`, the node's dedicated arrival stream.
     virtual sim::time_us next_interarrival_us(stats::rng& gen) = 0;
-
-    /// Name for reporting.
-    virtual const char* name() const noexcept = 0;
 };
 
 /// Build the source described by `config`; null for the saturated

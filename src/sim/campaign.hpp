@@ -8,14 +8,10 @@
 //    order;
 //  - work is split into shards whose boundaries depend only on
 //    (replications, shard_size), never on the thread count;
-//  - per-replication results are placed by index, and shard partials are
-//    merged in shard-index order on the calling thread.
+//  - per-replication results are placed by index.
 //
-// Consequently `run_replications` is bit-identical to a serial loop for
-// every `threads` value, and `accumulate_replications` is bit-identical
-// across thread counts (its shard-partial grouping differs from a plain
-// serial fold only in floating-point association, which is fixed by the
-// shard structure, not by the worker count).
+// Consequently `run_replications` (and its checkpointed form) is
+// bit-identical to a serial loop for every `threads` value.
 //
 // Replication callables run concurrently on pool workers: they must not
 // touch shared mutable state beyond their own index's slot. Building a
@@ -189,34 +185,6 @@ std::vector<T> run_replications_checkpointed(const campaign_options& options,
         }
     });
     return results;
-}
-
-/// Fold every replication into an accumulator without materializing
-/// per-replication results: each shard folds its own copy of `identity`
-/// in index order, then shard partials merge into a final copy in
-/// shard-index order on the calling thread. Thread-count invariant.
-/// `identity` MUST be the fold's identity element (0.0, an empty
-/// vector, ...): every shard starts from its own copy, so a non-identity
-/// starting value would be counted once per shard.
-/// `accumulate(acc, index, gen)` mutates the shard accumulator;
-/// `merge(total, partial)` folds one shard partial into the total.
-template <typename Acc, typename Accumulate, typename Merge>
-Acc accumulate_replications(const campaign_options& options, Acc identity,
-                            Accumulate&& accumulate, Merge&& merge) {
-    detail::require_unsharded(options, "accumulate_replications");
-    const std::size_t shards = campaign_shard_count(options);
-    std::vector<Acc> partials(shards, identity);
-    const stats::rng base(options.seed);
-    for_each_shard(options, [&](std::size_t begin, std::size_t end) {
-        Acc& acc = partials[begin / options.shard_size];
-        for (std::size_t i = begin; i < end; ++i) {
-            stats::rng gen = base.split(static_cast<std::uint64_t>(i));
-            accumulate(acc, i, gen);
-        }
-    });
-    Acc total = std::move(identity);
-    for (auto& partial : partials) merge(total, std::move(partial));
-    return total;
 }
 
 }  // namespace csense::sim

@@ -17,7 +17,7 @@ constexpr std::uint64_t kUnboundedTick = ~std::uint64_t{0};
 event_queue::event_queue(queue_backend backend) { reconfigure(backend); }
 
 bool event_queue::reconfigure(queue_backend backend) {
-    if (pending_ != 0 || heap_size() != 0) return false;
+    if (pending_ != 0) return false;
     backend_ = backend;
     current_tick_ = 0;
     wheel_hint_ = 0;
@@ -49,33 +49,26 @@ std::uint64_t event_queue::tick_of(time_us at) const noexcept {
 }
 
 void event_queue::place(entry e) {
-    // Precondition: e is live (its generation matches its slot), so
-    // updating the slot's location tag here is always correct.
     const std::uint64_t tick = tick_of(e.at);
     if (tick <= current_tick_) {
         near_.push_back(e);
         std::push_heap(near_.begin(), near_.end(), std::greater<>{});
-        slots_[e.slot].location = entry_loc::near_heap;
         return;
     }
     if (tick - current_tick_ <= kBucketMask) {
         const auto b = static_cast<std::uint32_t>(tick & kBucketMask);
-        const std::uint32_t head = bucket_head_[b];
-        wheel_node_[e.slot] = wheel_node{e.at, e.sequence, head, kNil};
-        if (head != kNil) wheel_node_[head].prev = e.slot;
+        wheel_node_[e.slot] = wheel_node{e.at, e.sequence, bucket_head_[b]};
         bucket_head_[b] = e.slot;
         occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
         ++wheel_count_;
-        slots_[e.slot].location = entry_loc::wheel;
         if (tick < wheel_hint_) wheel_hint_ = tick;
         return;
     }
     far_.push_back(e);
     std::push_heap(far_.begin(), far_.end(), std::greater<>{});
-    slots_[e.slot].location = entry_loc::far_heap;
 }
 
-event_id event_queue::schedule(time_us at, inline_action action) {
+void event_queue::schedule(time_us at, inline_action action) {
     std::uint32_t index;
     if (!free_slots_.empty()) {
         index = free_slots_.back();
@@ -84,9 +77,8 @@ event_id event_queue::schedule(time_us at, inline_action action) {
         index = static_cast<std::uint32_t>(slots_.size());
         slots_.emplace_back();
     }
-    slots_[index].action = std::move(action);
-    const std::uint32_t generation = slots_[index].generation;
-    const entry e{at, next_sequence_++, index, generation};
+    slots_[index] = std::move(action);
+    const entry e{at, next_sequence_++, index};
     if (backend_ == queue_backend::heap) {
         heap_.push_back(e);
         std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
@@ -98,57 +90,6 @@ event_id event_queue::schedule(time_us at, inline_action action) {
         place(e);
     }
     ++pending_;
-    return make_id(index, generation);
-}
-
-void event_queue::release_slot(std::uint32_t index) {
-    slots_[index].action.reset();  // release captured state eagerly
-    ++slots_[index].generation;
-    slots_[index].location = entry_loc::none;
-    free_slots_.push_back(index);
-}
-
-bool event_queue::cancel(event_id id) {
-    const auto index = static_cast<std::uint32_t>(id & 0xffffffffULL);
-    const auto generation = static_cast<std::uint32_t>(id >> 32);
-    if (index >= slots_.size() || slots_[index].generation != generation ||
-        !slots_[index].action) {
-        return false;
-    }
-    if (backend_ == queue_backend::calendar &&
-        slots_[index].location == entry_loc::wheel) {
-        // In-wheel entries unlink eagerly: O(bucket occupancy), which at
-        // slot granularity is a handful of entries, and the wheel stays
-        // free of stale entries (its slot storage is reused on the next
-        // schedule of the same slot, so lazy dropping is not an option).
-        unlink_wheel(index);
-        release_slot(index);
-        --pending_;
-        return true;
-    }
-    release_slot(index);
-    --pending_;
-    ++stale_count_;  // its heap entry lingers until dropped or compacted
-    maybe_compact();
-    return true;
-}
-
-void event_queue::unlink_wheel(std::uint32_t index) {
-    const wheel_node& node = wheel_node_[index];
-    const std::uint32_t prev = node.prev;
-    const std::uint32_t next = node.next;
-    if (next != kNil) wheel_node_[next].prev = prev;
-    if (prev != kNil) {
-        wheel_node_[prev].next = next;
-    } else {
-        const std::uint64_t tick = tick_of(node.at);
-        const auto b = static_cast<std::uint32_t>(tick & kBucketMask);
-        bucket_head_[b] = next;
-        if (next == kNil) {
-            occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-        }
-    }
-    --wheel_count_;
 }
 
 bool event_queue::advance_wheel(std::uint64_t limit_tick) {
@@ -192,11 +133,8 @@ bool event_queue::advance_wheel(std::uint64_t limit_tick) {
     std::size_t drained = 0;
     while (s != kNil) {
         const wheel_node& node = wheel_node_[s];
-        // In-wheel entries are never stale (cancel unlinks eagerly), so
-        // the slot's current generation is the entry's.
-        near_.push_back(entry{node.at, node.sequence, s, slots_[s].generation});
+        near_.push_back(entry{node.at, node.sequence, s});
         std::push_heap(near_.begin(), near_.end(), std::greater<>{});
-        slots_[s].location = entry_loc::near_heap;
         ++drained;
         s = node.next;
     }
@@ -210,16 +148,7 @@ void event_queue::rebase(std::uint64_t tick) {
     current_tick_ = tick;
     wheel_hint_ = tick;
     rebase_scratch_.swap(far_);  // far_ becomes the (empty) scratch
-    for (const entry& e : rebase_scratch_) {
-        // Stale entries must be dropped here, not re-placed: their slot
-        // may already carry a newer event, and place() would clobber its
-        // wheel storage and location tag.
-        if (stale(e)) {
-            --stale_count_;
-            continue;
-        }
-        place(e);
-    }
+    for (const entry& e : rebase_scratch_) place(e);
     rebase_scratch_.clear();
 }
 
@@ -231,23 +160,11 @@ void event_queue::settle(std::uint64_t limit_tick) {
         // drains preserves pop order; skipping this would strand an
         // overflow event once current_tick_ moves past it.
         const std::uint64_t horizon = current_tick_ + kBucketMask + 1;
-        while (!far_.empty()) {
-            if (stale(far_.front())) {
-                std::pop_heap(far_.begin(), far_.end(), std::greater<>{});
-                far_.pop_back();
-                --stale_count_;
-                continue;
-            }
-            if (tick_of(far_.front().at) >= horizon) break;
+        while (!far_.empty() && tick_of(far_.front().at) < horizon) {
             const entry e = far_.front();
             std::pop_heap(far_.begin(), far_.end(), std::greater<>{});
             far_.pop_back();
             place(e);
-        }
-        while (!near_.empty() && stale(near_.front())) {
-            std::pop_heap(near_.begin(), near_.end(), std::greater<>{});
-            near_.pop_back();
-            --stale_count_;
         }
         if (!near_.empty()) return;
         if (wheel_count_ > 0) {
@@ -263,43 +180,14 @@ void event_queue::settle(std::uint64_t limit_tick) {
     }
 }
 
-void event_queue::drop_cancelled() {
-    while (!heap_.empty() && stale(heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        heap_.pop_back();
-        --stale_count_;
-    }
-}
-
-void event_queue::maybe_compact() {
-    // Compact only when stale entries dominate: O(n) rebuild amortizes to
-    // O(1) per cancellation, and the threshold keeps small queues as-is.
-    if (stale_count_ < 64 || stale_count_ * 2 < heap_size()) return;
-    const auto is_stale = [this](const entry& e) { return stale(e); };
-    if (backend_ == queue_backend::heap) {
-        std::erase_if(heap_, is_stale);
-        std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    } else {
-        // The wheel never holds stale entries (cancel unlinks eagerly),
-        // so only the two heaps need sweeping.
-        std::erase_if(near_, is_stale);
-        std::make_heap(near_.begin(), near_.end(), std::greater<>{});
-        std::erase_if(far_, is_stale);
-        std::make_heap(far_.begin(), far_.end(), std::greater<>{});
-    }
-    stale_count_ = 0;
-}
-
 time_us event_queue::next_time() const {
-    auto* self = const_cast<event_queue*>(this);
     if (backend_ == queue_backend::heap) {
-        self->drop_cancelled();
         if (heap_.empty()) {
             throw std::logic_error("event_queue::next_time: empty");
         }
         return heap_.front().at;
     }
-    self->settle(kUnboundedTick);
+    const_cast<event_queue*>(this)->settle(kUnboundedTick);
     if (near_.empty()) throw std::logic_error("event_queue::next_time: empty");
     return near_.front().at;
 }
@@ -319,14 +207,13 @@ std::pair<time_us, inline_action> event_queue::pop_next() {
 std::optional<std::pair<time_us, inline_action>> event_queue::pop_next_at_most(
     time_us until) {
     if (backend_ == queue_backend::heap) {
-        drop_cancelled();
         if (heap_.empty() || heap_.front().at > until) return std::nullopt;
         const entry top = heap_.front();
         std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
         heap_.pop_back();
         std::optional<std::pair<time_us, inline_action>> out;
-        out.emplace(top.at, std::move(slots_[top.slot].action));
-        release_slot(top.slot);
+        out.emplace(top.at, std::move(slots_[top.slot]));
+        free_slots_.push_back(top.slot);
         --pending_;
         return out;
     }
@@ -338,8 +225,8 @@ std::optional<std::pair<time_us, inline_action>> event_queue::pop_next_at_most(
     // Emplace straight into the optional: one inline_action move per
     // pop instead of two (the pair would otherwise be moved again).
     std::optional<std::pair<time_us, inline_action>> out;
-    out.emplace(top.at, std::move(slots_[top.slot].action));
-    release_slot(top.slot);
+    out.emplace(top.at, std::move(slots_[top.slot]));
+    free_slots_.push_back(top.slot);
     --pending_;
     return out;
 }

@@ -3,28 +3,24 @@
 // reproducible MAC simulations, where DIFS expiry and slot boundaries
 // coincide constantly).
 //
-// Memory is bounded by the number of *concurrently pending* events, not
-// the number ever scheduled: executed and cancelled events return their
-// slot to a free list, and each slot carries a generation counter so a
-// stale id can never cancel the slot's next occupant. Cancelled entries
-// left inside the queue are dropped lazily when they surface, and the
-// whole structure is compacted when stale entries outnumber live ones
-// (the MAC's cancel-heavy timer pattern would otherwise accumulate
-// them).
+// The queue is schedule-only: an event, once scheduled, fires. Owners
+// that need to retire a timer make the event a no-op instead (the DCF
+// tags each timer with a per-node generation and a superseded timer
+// returns at once when it pops). So every held entry is live, and
+// memory is bounded by the number of *concurrently pending* events, not
+// the number ever scheduled: a fired event returns its slot to a free
+// list.
 //
 // Two backends share this contract and produce identical pop order:
 //
 //  - calendar: a timer wheel bucketed at MAC slot granularity with a
-//    near-past heap and a beyond-horizon overflow heap. Arming and
-//    cancelling are O(1) instead of the binary heap's O(log n) sift /
-//    lazy-cancel churn, which is the win when thousands of nodes hold
-//    standing backoff timers (the camp05 dense regime). Wheel buckets
-//    are intrusive doubly-linked lists threaded through a dense
-//    per-slot side array (a slot holds at most one pending event), so
-//    the wheel performs zero heap allocations once the slot table
-//    reaches its high-water mark and cancelling an in-wheel event
-//    unlinks it eagerly in O(1) instead of leaving a stale entry
-//    behind.
+//    near-past heap and a beyond-horizon overflow heap. Arming is O(1)
+//    instead of the binary heap's O(log n) sift, which is the win when
+//    thousands of nodes hold standing backoff timers (the camp05 dense
+//    regime). Wheel buckets are intrusive singly-linked lists threaded
+//    through a dense per-slot side array (a slot holds at most one
+//    pending event), so the wheel performs zero heap allocations once
+//    the slot table reaches its high-water mark.
 //  - heap: the original single binary heap, kept as the reference
 //    implementation for differential tests and because it is the
 //    faster structure when only a handful of events are pending (small
@@ -57,10 +53,6 @@ namespace csense::sim {
 /// resolution over multi-minute runs (2^53 us ~ 285 years).
 using time_us = double;
 
-/// Handle used to cancel a scheduled event: slot index in the low 32
-/// bits, the slot's generation at schedule time in the high 32 bits.
-using event_id = std::uint64_t;
-
 /// Scheduler backend selection. Both pop in identical order; the
 /// calendar wheel is the default, the binary heap the faster structure
 /// for a handful of pending events (mac::network picks per scale).
@@ -72,26 +64,19 @@ class event_queue {
 public:
     explicit event_queue(queue_backend backend = queue_backend::calendar);
 
-    /// Switch backend before any event is scheduled (or after every
-    /// scheduled event has fired or been cancelled *and* been swept
-    /// out). Returns false - leaving the queue untouched - if entries
-    /// are still held anywhere. Lets owners that only learn their scale
-    /// after construction (a network learns its node count as nodes are
-    /// added) pick the backend at first run.
+    /// Switch backend while no event is pending. Returns false - leaving
+    /// the queue untouched - otherwise. Lets owners that only learn
+    /// their scale after construction (a network learns its node count
+    /// as nodes are added) pick the backend at first run.
     bool reconfigure(queue_backend backend);
 
-    /// Schedule `action` at absolute time `at`; returns a cancellable id.
-    event_id schedule(time_us at, inline_action action);
-
-    /// Cancel a pending event; returns false if already fired/cancelled.
-    /// Safe against stale ids: once an event fires or is cancelled its
-    /// slot may be reused, and the old id can never affect the new event.
-    bool cancel(event_id id);
+    /// Schedule `action` at absolute time `at`.
+    void schedule(time_us at, inline_action action);
 
     /// True when no pending events remain.
     bool empty() const noexcept { return pending_ == 0; }
 
-    /// Number of pending (uncancelled) events.
+    /// Number of pending events.
     std::size_t size() const noexcept { return pending_; }
 
     /// Time of the earliest pending event; requires !empty().
@@ -111,8 +96,7 @@ public:
     /// lies beyond the horizon. One fused settle + pop per event instead
     /// of the next_time() + pop_next() pair - the simulation kernel's
     /// run_until loop executes hundreds of millions of events in a
-    /// dense-network campaign, so the duplicate stale-drop scan is worth
-    /// eliding.
+    /// dense-network campaign.
     std::optional<std::pair<time_us, inline_action>> pop_next_at_most(
         time_us until);
 
@@ -120,13 +104,6 @@ public:
     /// *concurrently* pending events, independent of how many events were
     /// ever scheduled (the bounded-memory guarantee regression tests pin).
     std::size_t slot_count() const noexcept { return slots_.size(); }
-
-    /// Entries currently held across all internal structures, including
-    /// cancelled-but-not-yet dropped ones; compaction keeps this
-    /// O(pending).
-    std::size_t heap_size() const noexcept {
-        return near_.size() + wheel_count_ + far_.size() + heap_.size();
-    }
 
     /// The backend this queue was constructed with.
     queue_backend backend() const noexcept { return backend_; }
@@ -136,7 +113,6 @@ private:
         time_us at;
         std::uint64_t sequence;
         std::uint32_t slot;
-        std::uint32_t generation;
 
         bool operator>(const entry& other) const noexcept {
             if (at != other.at) return at > other.at;
@@ -144,45 +120,19 @@ private:
         }
     };
 
-    /// Which internal structure currently holds a slot's pending entry.
-    /// Lets cancel() unlink in-wheel entries eagerly; entries in the
-    /// heaps are cancelled lazily (heap removal would be O(n)).
-    enum class entry_loc : std::uint8_t { none, near_heap, wheel, far_heap };
-
-    struct slot {
-        inline_action action;
-        /// Incremented whenever the slot is released (fired or
-        /// cancelled); an entry or id bearing an older generation is
-        /// stale. Wraps after 2^32 reuses of one slot, which a simulation
-        /// would take centuries of virtual time to reach.
-        std::uint32_t generation = 0;
-        entry_loc location = entry_loc::none;  ///< calendar backend only
-    };
-
     /// Wheel residency of one slot (calendar backend): the entry payload
-    /// minus what the slot table already holds (slot index is the array
-    /// index, generation is current - in-wheel entries are never stale),
-    /// plus doubly-linked intrusive bucket-list links so cancel unlinks
-    /// in O(1). Kept in a dense 24-byte side array rather than inside
-    /// the 128-byte slot struct: link/unlink touch *neighbouring* slots'
-    /// nodes, and with thousands of pending timers (the camp05 regime)
-    /// those foreign touches must land in a compact, cache-resident
-    /// array instead of dragging in a full slot line each.
+    /// minus the slot index (the array index), plus the singly-linked
+    /// intrusive bucket-list link. Kept in a dense 24-byte side array
+    /// rather than next to the 96-byte action: draining a bucket walks
+    /// its chain through *other* slots' nodes, and with thousands of
+    /// pending timers (the camp05 regime) those touches must land in a
+    /// compact, cache-resident array instead of dragging in a full
+    /// action line each.
     struct wheel_node {
         time_us at;
         std::uint64_t sequence;
         std::uint32_t next;
-        std::uint32_t prev;
     };
-
-    static event_id make_id(std::uint32_t index,
-                            std::uint32_t generation) noexcept {
-        return (static_cast<event_id>(generation) << 32) | index;
-    }
-
-    bool stale(const entry& e) const noexcept {
-        return slots_[e.slot].generation != e.generation;
-    }
 
     /// Map a timestamp to its wheel tick; clamped to [0, kMaxTick] so
     /// negative and astronomically large times stay well-defined (they
@@ -192,11 +142,8 @@ private:
     /// Route a fresh entry to the near heap / wheel / overflow heap.
     void place(entry e);
 
-    /// Return a slot to the free list and invalidate outstanding ids.
-    void release_slot(std::uint32_t index);
-
-    /// Establish: near_ top is the earliest live pending entry with
-    /// tick <= limit_tick, or no such entry exists. Advances the wheel /
+    /// Establish: near_ top is the earliest pending entry with tick <=
+    /// limit_tick, or no such entry exists. Advances the wheel /
     /// rebases the overflow heap only through buckets at or before
     /// limit_tick - a bounded pop (run_until's horizon) must not drag
     /// current_tick_ to some far-future event, or every later schedule
@@ -211,18 +158,8 @@ private:
     /// wheel_count_ > 0.
     bool advance_wheel(std::uint64_t limit_tick);
 
-    /// Remove the slot's entry from its wheel bucket (cancel path).
-    /// Requires slots_[index].location == entry_loc::wheel.
-    void unlink_wheel(std::uint32_t index);
-
     /// Re-anchor the wheel at `tick` and re-place every overflow entry.
     void rebase(std::uint64_t tick);
-
-    /// Heap backend: pop stale entries off the heap top.
-    void drop_cancelled();
-
-    /// Rebuild all structures without stale entries once they dominate.
-    void maybe_compact();
 
     queue_backend backend_ = queue_backend::calendar;
 
@@ -269,11 +206,12 @@ private:
     // --- heap backend state ---
     std::vector<entry> heap_;  ///< std::push_heap/pop_heap, min at front
 
-    std::vector<slot> slots_;
+    /// The scheduled actions, indexed by entry::slot; free_slots_ holds
+    /// the indices whose action has popped.
+    std::vector<inline_action> slots_;
     std::vector<std::uint32_t> free_slots_;
     std::uint64_t next_sequence_ = 0;
     std::size_t pending_ = 0;
-    std::size_t stale_count_ = 0;
 };
 
 }  // namespace csense::sim

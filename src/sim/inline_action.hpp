@@ -32,8 +32,9 @@ namespace csense::sim {
 /// moved-from; invoking one is undefined (checked via operator bool).
 class inline_action {
 public:
-    /// Sized for the largest MAC closure (medium delivery wake: frame
-    /// by value + listener pointer + power + timestamp = 64 bytes).
+    /// Twice the largest MAC closure (a DCF timer: node pointer +
+    /// generation + member-function pointer = 32 bytes), which leaves
+    /// room for a std::function.
     static constexpr std::size_t capacity = 64;
     static constexpr std::size_t alignment = 16;
 

@@ -16,19 +16,20 @@ constexpr std::uint64_t kCancelCheckMask = (1u << 16) - 1;
 
 }  // namespace
 
-event_id simulator::schedule_in(time_us delay, inline_action action) {
+void simulator::schedule_in(time_us delay, inline_action action) {
     if (delay < 0.0) throw std::invalid_argument("schedule_in: negative delay");
-    return queue_.schedule(now_ + delay, std::move(action));
+    queue_.schedule(now_ + delay, std::move(action));
 }
 
-event_id simulator::schedule_at(time_us at, inline_action action) {
+void simulator::schedule_at(time_us at, inline_action action) {
     if (at < now_) throw std::invalid_argument("schedule_at: time in the past");
-    return queue_.schedule(at, std::move(action));
+    queue_.schedule(at, std::move(action));
 }
 
 void simulator::run_until(time_us until) {
-    // Fused horizon check + pop: one top-of-heap inspection per event
-    // (the next_time()/pop_next() pair would drop stale entries twice).
+    // Fused horizon check + pop: one settle and one top-of-heap
+    // inspection per event instead of the next_time()/pop_next() pair's
+    // two.
     while (auto next = queue_.pop_next_at_most(until)) {
         now_ = next->first;  // advance the clock before the action runs
         next->second();

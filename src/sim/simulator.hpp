@@ -1,6 +1,9 @@
 // The simulation kernel: a clock plus the event queue, with run-until
 // semantics. MAC components hold a reference to the simulator and
-// schedule relative to now().
+// schedule relative to now(). Scheduling is the whole interface: an
+// event, once scheduled, fires, and a component that changes its mind
+// makes the event a no-op (see event_queue.hpp). Every object an event
+// captures must therefore outlive every run_until() that may pop it.
 #pragma once
 
 #include "src/sim/event_queue.hpp"
@@ -29,13 +32,10 @@ public:
     /// Schedule an action `delay` microseconds from now (delay >= 0).
     /// Actions are allocation-free inline_actions: captures must fit the
     /// 64-byte buffer (compile-time checked).
-    event_id schedule_in(time_us delay, inline_action action);
+    void schedule_in(time_us delay, inline_action action);
 
     /// Schedule an action at an absolute time (>= now).
-    event_id schedule_at(time_us at, inline_action action);
-
-    /// Cancel a pending event.
-    bool cancel(event_id id) { return queue_.cancel(id); }
+    void schedule_at(time_us at, inline_action action);
 
     /// Run events until the queue empties or the clock passes `until`.
     /// Events at exactly `until` are executed.

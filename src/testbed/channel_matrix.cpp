@@ -54,7 +54,7 @@ double channel_matrix::snr_db(std::uint32_t a, std::uint32_t b) const {
 
 double channel_matrix::expected_delivery(
     std::uint32_t tx, std::uint32_t rx, const capacity::phy_rate& rate,
-    int payload_bytes, const capacity::error_model& errors) const {
+    int payload_bytes, const capacity::logistic_per_model& errors) const {
     const double snr = snr_db(tx, rx);
     if (radio_.fading_sigma_db <= 0.0) {
         return errors.delivery_rate(rate, snr, payload_bytes);
@@ -69,7 +69,7 @@ double channel_matrix::expected_delivery(
 
 std::vector<link> channel_matrix::links_by_delivery(
     double lo, double hi, const capacity::phy_rate& rate, int payload_bytes,
-    const capacity::error_model& errors) const {
+    const capacity::logistic_per_model& errors) const {
     std::vector<link> result;
     for (std::uint32_t a = 0; a < count_; ++a) {
         for (std::uint32_t b = 0; b < count_; ++b) {

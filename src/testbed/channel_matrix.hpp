@@ -58,14 +58,13 @@ public:
     /// fading (radio.fading_sigma_db) with the given error model.
     double expected_delivery(std::uint32_t tx, std::uint32_t rx,
                              const capacity::phy_rate& rate, int payload_bytes,
-                             const capacity::error_model& errors) const;
+                             const capacity::logistic_per_model& errors) const;
 
     /// All directed links whose 6 Mb/s delivery rate falls within
     /// [lo, hi] - the thesis' link-quality category selector.
-    std::vector<link> links_by_delivery(double lo, double hi,
-                                        const capacity::phy_rate& rate,
-                                        int payload_bytes,
-                                        const capacity::error_model& errors) const;
+    std::vector<link> links_by_delivery(
+        double lo, double hi, const capacity::phy_rate& rate,
+        int payload_bytes, const capacity::logistic_per_model& errors) const;
 
 private:
     std::size_t count_;

@@ -1,10 +1,8 @@
 // The deterministic campaign layer: sharded replications must place
-// results by index, reproduce the serial loop bit-for-bit at any thread
-// count, and keep shard-partial accumulation invariant to the worker
-// count (the --threads-is-only-a-wall-clock-knob contract).
+// results by index and reproduce the serial loop bit-for-bit at any
+// thread count (the --threads-is-only-a-wall-clock-knob contract).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <numeric>
 #include <stdexcept>
@@ -69,42 +67,6 @@ TEST(Campaign, MapIsInvariantToShardSize) {
     EXPECT_EQ(a, c);
 }
 
-TEST(Campaign, AccumulateIsThreadCountInvariant) {
-    // The shard-partial fold must be bitwise identical for every worker
-    // count (grouping fixed by shard boundaries alone).
-    const std::size_t n = 10'000;
-    auto run = [&](int threads) {
-        return accumulate_replications<double>(
-            options_with(n, 128, threads), 0.0,
-            [](double& acc, std::size_t, csense::stats::rng& gen) {
-                acc += std::log1p(gen.uniform());
-            },
-            [](double& total, double partial) { total += partial; });
-    };
-    const double t1 = run(1);
-    EXPECT_EQ(t1, run(2));
-    EXPECT_EQ(t1, run(4));
-    EXPECT_EQ(t1, run(13));
-}
-
-TEST(Campaign, AccumulateMergesShardsInIndexOrder) {
-    // Record which replication indices each shard saw: merged in shard
-    // order they must reconstruct 0..n-1 exactly.
-    const std::size_t n = 100;
-    using list = std::vector<std::size_t>;
-    const auto seen = accumulate_replications<list>(
-        options_with(n, 7, 4), list{},
-        [](list& acc, std::size_t i, csense::stats::rng&) {
-            acc.push_back(i);
-        },
-        [](list& total, list partial) {
-            total.insert(total.end(), partial.begin(), partial.end());
-        });
-    list expected(n);
-    std::iota(expected.begin(), expected.end(), 0u);
-    EXPECT_EQ(seen, expected);
-}
-
 TEST(Campaign, ReplicationStreamsAreDecorrelated) {
     // Adjacent replications must not share RNG state: the mean of many
     // split streams' first uniforms behaves like independent draws.
@@ -127,11 +89,6 @@ TEST(Campaign, EmptyCampaignIsANoOp) {
         options_with(0, 8, 4),
         [](std::size_t, csense::stats::rng&) { return 1; });
     EXPECT_TRUE(results.empty());
-    const double total = accumulate_replications<double>(
-        options_with(0, 8, 4), 0.0,
-        [](double& acc, std::size_t, csense::stats::rng&) { acc += 1.0; },
-        [](double& t, double p) { t += p; });
-    EXPECT_EQ(total, 0.0);
 }
 
 TEST(Campaign, RejectsBadOptions) {
@@ -263,14 +220,6 @@ TEST(Campaign, ProcessShardingRequiresACheckpointStore) {
     EXPECT_THROW(run_replications<int>(
                      opt, [](std::size_t, csense::stats::rng&) { return 1; }),
                  std::logic_error);
-    EXPECT_THROW(
-        accumulate_replications<double>(
-            opt, 0.0,
-            [](double& acc, std::size_t, csense::stats::rng&) {
-                acc += 1.0;
-            },
-            [](double& t, double p) { t += p; }),
-        std::logic_error);
 }
 
 TEST(Campaign, RejectsBadProcessShardOptions) {

@@ -1,5 +1,5 @@
 // Capacity layer: Shannon model, 802.11a rate tables, air-time
-// arithmetic, and SINR -> PER error models.
+// arithmetic, and the SINR -> PER error model.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -97,20 +97,15 @@ TEST(Airtime, SaturatedBroadcastThroughput) {
 }
 
 TEST(ErrorModels, PerMonotoneInSnr) {
-    const logistic_per_model logistic;
-    const awgn_per_model awgn;
-    for (const error_model* model :
-         {static_cast<const error_model*>(&logistic),
-          static_cast<const error_model*>(&awgn)}) {
-        for (const auto& rate : ofdm_rates()) {
-            double prev = 1.1;
-            for (double snr = -5.0; snr <= 40.0; snr += 1.0) {
-                const double per = model->packet_error_rate(rate, snr, 1400);
-                EXPECT_LE(per, prev + 1e-12);
-                EXPECT_GE(per, 0.0);
-                EXPECT_LE(per, 1.0);
-                prev = per;
-            }
+    const logistic_per_model model;
+    for (const auto& rate : ofdm_rates()) {
+        double prev = 1.1;
+        for (double snr = -5.0; snr <= 40.0; snr += 1.0) {
+            const double per = model.packet_error_rate(rate, snr, 1400);
+            EXPECT_LE(per, prev + 1e-12);
+            EXPECT_GE(per, 0.0);
+            EXPECT_LE(per, 1.0);
+            prev = per;
         }
     }
 }
@@ -142,16 +137,6 @@ TEST(ErrorModels, LongerFramesFailMore) {
     const double snr = rate.min_snr_db + 1.0;
     EXPECT_GT(model.packet_error_rate(rate, snr, 1400),
               model.packet_error_rate(rate, snr, 100));
-}
-
-TEST(ErrorModels, AwgnBerOrderingByModulation) {
-    const double snr = 10.0;  // linear
-    EXPECT_LT(awgn_per_model::uncoded_ber(modulation::bpsk, snr),
-              awgn_per_model::uncoded_ber(modulation::qpsk, snr) + 1e-15);
-    EXPECT_LT(awgn_per_model::uncoded_ber(modulation::qpsk, snr),
-              awgn_per_model::uncoded_ber(modulation::qam16, snr));
-    EXPECT_LT(awgn_per_model::uncoded_ber(modulation::qam16, snr),
-              awgn_per_model::uncoded_ber(modulation::qam64, snr));
 }
 
 TEST(ErrorModels, ExtremesSaturate) {

@@ -259,10 +259,10 @@ struct first_preamble final : medium_listener {
     double at_us = -1.0;
 
     void on_energy_busy(bool) override {}
-    void on_preamble(const frame&, double, csense::sim::time_us) override {
+    void on_preamble(csense::sim::time_us) override {
         if (at_us < 0.0) at_us = simulator->now();
     }
-    void on_frame_received(const frame&, double, double, bool) override {}
+    void on_frame_received(const frame&, bool) override {}
     void on_tx_complete(const frame&) override {}
 };
 

@@ -41,9 +41,8 @@ struct recorder final : medium_listener {
     std::vector<std::pair<node_id, bool>> received;  ///< (src, decoded)
 
     void on_energy_busy(bool) override {}
-    void on_preamble(const frame&, double, sim::time_us) override {}
-    void on_frame_received(const frame& f, double, double,
-                           bool decoded) override {
+    void on_preamble(sim::time_us) override {}
+    void on_frame_received(const frame& f, bool decoded) override {
         received.emplace_back(f.src, decoded);
     }
     void on_tx_complete(const frame&) override {}
@@ -60,8 +59,8 @@ struct cca_recorder final : medium_listener {
     void on_energy_busy(bool busy) override {
         flips.emplace_back(simulator->now(), busy);
     }
-    void on_preamble(const frame&, double, sim::time_us) override {}
-    void on_frame_received(const frame&, double, double, bool) override {}
+    void on_preamble(sim::time_us) override {}
+    void on_frame_received(const frame&, bool) override {}
     void on_tx_complete(const frame&) override {}
 };
 

@@ -34,11 +34,8 @@ struct recorder final : medium_listener {
     std::vector<std::pair<node_id, bool>> received;  ///< (src, decoded)
 
     void on_energy_busy(bool) override { ++energy_flips; }
-    void on_preamble(const frame&, double, sim::time_us) override {
-        ++preambles;
-    }
-    void on_frame_received(const frame& f, double, double,
-                           bool decoded) override {
+    void on_preamble(sim::time_us) override { ++preambles; }
+    void on_frame_received(const frame& f, bool decoded) override {
         received.emplace_back(f.src, decoded);
     }
     void on_tx_complete(const frame&) override {}

@@ -10,14 +10,6 @@ namespace {
 
 using namespace csense::capacity;
 
-TEST(FixedRate, NeverMoves) {
-    fixed_rate fixed(rate_by_mbps(18.0));
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_DOUBLE_EQ(fixed.next_rate().mbps, 18.0);
-        fixed.report(fixed.next_rate(), i % 2 == 0, 100.0);
-    }
-}
-
 TEST(Arf, ClimbsOnSuccess) {
     arf adapt(ofdm_rates(), 3, 2);
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 6.0);

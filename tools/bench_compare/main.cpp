@@ -14,178 +14,23 @@
 // gate — scenario sets legitimately change across PRs. Exits 1 when at
 // least one regression fired, 2 on usage/parse errors.
 //
-// The parser below covers exactly the JSON subset report::json_value
-// emits (objects, arrays, strings, doubles, bools, null); keeping it
-// local avoids a third-party dependency for a 300-line tool.
-#include <cctype>
-#include <charconv>
-#include <cmath>
+// Reports are read with report::json_value::parse, the library's
+// inverse of the writer that produced them.
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
+#include <string_view>
+
+#include "src/report/json.hpp"
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON
-
-struct json_node {
-    enum class kind { null, boolean, number, string, array, object };
-    kind type = kind::null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<json_node> array;
-    std::vector<std::pair<std::string, json_node>> object;
-
-    const json_node* find(std::string_view key) const {
-        for (const auto& [k, v] : object) {
-            if (k == key) return &v;
-        }
-        return nullptr;
-    }
-};
-
-class json_parser {
-public:
-    explicit json_parser(std::string_view text) : text_(text) {}
-
-    bool parse(json_node* out) {
-        skip_ws();
-        if (!value(out)) return false;
-        skip_ws();
-        return pos_ == text_.size();
-    }
-
-private:
-    void skip_ws() {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-            ++pos_;
-        }
-    }
-    bool consume(char c) {
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-    bool literal(std::string_view word) {
-        if (text_.compare(pos_, word.size(), word) == 0) {
-            pos_ += word.size();
-            return true;
-        }
-        return false;
-    }
-    bool string_body(std::string* out) {
-        if (!consume('"')) return false;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\' && pos_ < text_.size()) {
-                const char esc = text_[pos_++];
-                switch (esc) {
-                    case 'n': c = '\n'; break;
-                    case 't': c = '\t'; break;
-                    case 'r': c = '\r'; break;
-                    case 'b': c = '\b'; break;
-                    case 'f': c = '\f'; break;
-                    case 'u':
-                        // Benchmarks never emit non-ASCII; keep the
-                        // escape verbatim rather than decoding UTF-16.
-                        out->push_back('\\');
-                        c = 'u';
-                        break;
-                    default: c = esc; break;
-                }
-            }
-            out->push_back(c);
-        }
-        return consume('"');
-    }
-    bool value(json_node* out) {
-        skip_ws();
-        if (pos_ >= text_.size()) return false;
-        const char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out->type = json_node::kind::object;
-            skip_ws();
-            if (consume('}')) return true;
-            while (true) {
-                std::string key;
-                skip_ws();
-                if (!string_body(&key)) return false;
-                skip_ws();
-                if (!consume(':')) return false;
-                json_node child;
-                if (!value(&child)) return false;
-                out->object.emplace_back(std::move(key), std::move(child));
-                skip_ws();
-                if (consume(',')) continue;
-                return consume('}');
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out->type = json_node::kind::array;
-            skip_ws();
-            if (consume(']')) return true;
-            while (true) {
-                json_node child;
-                if (!value(&child)) return false;
-                out->array.push_back(std::move(child));
-                skip_ws();
-                if (consume(',')) continue;
-                return consume(']');
-            }
-        }
-        if (c == '"') {
-            out->type = json_node::kind::string;
-            return string_body(&out->string);
-        }
-        if (literal("true")) {
-            out->type = json_node::kind::boolean;
-            out->boolean = true;
-            return true;
-        }
-        if (literal("false")) {
-            out->type = json_node::kind::boolean;
-            out->boolean = false;
-            return true;
-        }
-        if (literal("null")) {
-            out->type = json_node::kind::null;
-            return true;
-        }
-        std::size_t end = pos_;
-        while (end < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[end])) != 0 ||
-                text_[end] == '-' || text_[end] == '+' || text_[end] == '.' ||
-                text_[end] == 'e' || text_[end] == 'E')) {
-            ++end;
-        }
-        if (end == pos_) return false;
-        const auto result =
-            std::from_chars(text_.data() + pos_, text_.data() + end,
-                            out->number);
-        if (result.ec != std::errc()) return false;
-        out->type = json_node::kind::number;
-        pos_ = end;
-        return true;
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Comparison
+using csense::report::json_value;
 
 struct timing_series {
     std::map<std::string, double> values;  // label -> ms
@@ -193,36 +38,38 @@ struct timing_series {
 
 /// Extracts everything comparable from one report: scenario elapsed
 /// stats plus per-benchmark ms metrics.
-std::map<std::string, timing_series> extract(const json_node& doc) {
+std::map<std::string, timing_series> extract(const json_value& doc) {
     std::map<std::string, timing_series> out;
-    const json_node* scenarios = doc.find("scenarios");
-    if (scenarios == nullptr) return out;
-    for (const auto& sc : scenarios->array) {
-        const json_node* name = sc.find("name");
+    const json_value* scenarios = doc.find("scenarios");
+    if (scenarios == nullptr || !scenarios->is_array()) return out;
+    for (std::size_t i = 0; i < scenarios->size(); ++i) {
+        const json_value& sc = scenarios->at(i);
+        const json_value* name = sc.find("name");
         if (name == nullptr) continue;
-        timing_series& series = out[name->string];
+        timing_series& series = out[name->to_string_value()];
         for (const char* key :
              {"elapsed_ms_mean", "elapsed_ms_min", "elapsed_ms_max"}) {
-            if (const json_node* v = sc.find(key);
-                v != nullptr && v->type == json_node::kind::number) {
+            if (const json_value* v = sc.find(key);
+                v != nullptr && v->is_number()) {
                 // key + 11 skips "elapsed_ms_", leaving mean/min/max.
                 series.values[std::string("elapsed/") + (key + 11)] =
-                    v->number;
+                    v->to_double();
             }
         }
         // Single-shot runs only carry elapsed_ms; use it as the mean.
         if (series.values.empty()) {
-            if (const json_node* v = sc.find("elapsed_ms");
-                v != nullptr && v->type == json_node::kind::number) {
-                series.values["elapsed/mean"] = v->number;
+            if (const json_value* v = sc.find("elapsed_ms");
+                v != nullptr && v->is_number()) {
+                series.values["elapsed/mean"] = v->to_double();
             }
         }
-        if (const json_node* metrics = sc.find("metrics");
-            metrics != nullptr) {
-            for (const auto& [k, v] : metrics->object) {
-                if (v.type == json_node::kind::number && k.size() > 3 &&
+        if (const json_value* metrics = sc.find("metrics");
+            metrics != nullptr && metrics->is_object()) {
+            for (std::size_t m = 0; m < metrics->size(); ++m) {
+                const auto [k, v] = metrics->entry(m);
+                if (v.is_number() && k.size() > 3 &&
                     k.compare(k.size() - 3, 3, "_ms") == 0) {
-                    series.values["metric/" + k] = v.number;
+                    series.values["metric/" + k] = v.to_double();
                 }
             }
         }
@@ -230,21 +77,19 @@ std::map<std::string, timing_series> extract(const json_node& doc) {
     return out;
 }
 
-bool read_doc(const char* path, json_node* doc) {
+std::optional<json_value> read_doc(const char* path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
         std::cerr << "bench_compare: cannot open " << path << "\n";
-        return false;
+        return std::nullopt;
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string text = buf.str();
-    json_parser parser(text);
-    if (!parser.parse(doc)) {
+    auto doc = json_value::parse(buf.str());
+    if (!doc) {
         std::cerr << "bench_compare: " << path << ": JSON parse error\n";
-        return false;
     }
-    return true;
+    return doc;
 }
 
 }  // namespace
@@ -289,13 +134,12 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    json_node base_doc;
-    json_node new_doc;
-    if (!read_doc(base_path, &base_doc) || !read_doc(new_path, &new_doc)) {
-        return 2;
-    }
-    const auto base = extract(base_doc);
-    const auto fresh = extract(new_doc);
+    const auto base_doc = read_doc(base_path);
+    if (!base_doc) return 2;
+    const auto new_doc = read_doc(new_path);
+    if (!new_doc) return 2;
+    const auto base = extract(*base_doc);
+    const auto fresh = extract(*new_doc);
 
     int regressions = 0;
     int improvements = 0;
