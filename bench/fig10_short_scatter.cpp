@@ -13,12 +13,12 @@ CSENSE_SCENARIO_EX(fig10_short_scatter,
                 "Figure 10: short-range competitive comparison vs carrier "
                 "sense",
                    bench::runtime_tier::slow,
-                   "writes the short-range testbed ensemble cache in "
-                   "./csense_bench_cache (keyed by config + seed)") {
+                   "views the short-range testbed ensemble (shared with "
+                   "fig11, tab03 and tab05), simulated once per process") {
     bench::print_header("Figure 10 - short range competitive comparison vs CS",
                         "pairs with >= 94% delivery at 6 Mb/s; mux and conc "
                         "totals vs the CS total per run");
-    const auto data = bench::dataset(ctx, /*short_range=*/true);
+    const auto& data = bench::dataset(ctx, /*short_range=*/true);
 
     std::printf("\n%10s %10s %10s %10s\n", "CS pkt/s", "mux", "conc", "rssi");
     report::series s_mux{"multiplexing", {}, {}, 'm'};

@@ -11,11 +11,12 @@ using namespace csense;
 CSENSE_SCENARIO_EX(fig11_short_rssi,
                 "Figure 11: short-range throughput vs sender-sender RSSI",
                    bench::runtime_tier::slow,
-                   "reuses the fig10 ensemble cache; fast when warm") {
+                   "views the short-range testbed ensemble (shared with "
+                   "fig10, tab03 and tab05), simulated once per process") {
     bench::print_header("Figure 11 - short range throughput vs sender RSSI",
                         "same dataset as Figure 10, plotted against the "
                         "metric carrier sense actually thresholds on");
-    const auto data = bench::dataset(ctx, /*short_range=*/true);
+    const auto& data = bench::dataset(ctx, /*short_range=*/true);
 
     std::printf("\n%10s %10s %10s %10s\n", "rssi dB", "mux", "conc", "CS");
     report::series s_mux{"multiplexing", {}, {}, 'm'};

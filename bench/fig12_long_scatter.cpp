@@ -12,11 +12,11 @@ CSENSE_SCENARIO_EX(fig12_long_scatter,
                 "Figure 12: long-range competitive comparison vs carrier "
                 "sense",
                    bench::runtime_tier::slow,
-                   "writes the long-range testbed ensemble cache in "
-                   "./csense_bench_cache") {
+                   "views the long-range testbed ensemble (shared with "
+                   "fig13 and tab04), simulated once per process") {
     bench::print_header("Figure 12 - long range competitive comparison vs CS",
                         "pairs with 80-95% delivery at 6 Mb/s");
-    const auto data = bench::dataset(ctx, /*short_range=*/false);
+    const auto& data = bench::dataset(ctx, /*short_range=*/false);
 
     std::printf("\n%10s %10s %10s %10s\n", "CS pkt/s", "mux", "conc", "rssi");
     report::series s_mux{"multiplexing", {}, {}, 'm'};

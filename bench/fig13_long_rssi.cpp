@@ -12,11 +12,12 @@ using namespace csense;
 CSENSE_SCENARIO_EX(fig13_long_rssi,
                 "Figure 13: long-range throughput vs sender-sender RSSI",
                    bench::runtime_tier::slow,
-                   "reuses the fig12 ensemble cache; fast when warm") {
+                   "views the long-range testbed ensemble (shared with "
+                   "fig12 and tab04), simulated once per process") {
     bench::print_header("Figure 13 - long range throughput vs sender RSSI",
                         "transition sits lower than short range and consists "
                         "mainly of hidden-terminal-style concurrency");
-    const auto data = bench::dataset(ctx, /*short_range=*/false);
+    const auto& data = bench::dataset(ctx, /*short_range=*/false);
 
     std::printf("\n%10s %10s %10s %10s\n", "rssi dB", "mux", "conc", "CS");
     report::series s_mux{"multiplexing", {}, {}, 'm'};

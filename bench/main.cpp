@@ -31,12 +31,11 @@
 //                                        identical across repetitions
 //                                        for a fixed seed; scenarios
 //                                        marked non-repeatable, i.e.
-//                                        perf_micro, run once; cached
-//                                        testbed scenarios reload
-//                                        ./csense_bench_cache/ on
-//                                        repetitions 2..N, so run them
-//                                        from a scratch dir for cold
-//                                        timings)
+//                                        perf_micro, run once; the
+//                                        testbed views simulate each
+//                                        ensemble once per process, so
+//                                        repetitions 2..N time the view
+//                                        alone)
 //   csense_bench --checkpoint <dir>      crash-safe campaigns: completed
 //                                        scenario results (and campaign
 //                                        replication shards) persist in a
@@ -90,6 +89,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -104,6 +104,7 @@
 #include "src/store/result_store.hpp"
 #include "src/store/run_keys.hpp"
 #include "src/store/shard_merge.hpp"
+#include "src/testbed/experiment.hpp"
 
 namespace {
 
@@ -522,6 +523,9 @@ int main(int argc, char** argv) {
     int gate_failures = 0;
     int degraded_count = 0;
     std::vector<csense::sim::campaign_unit> campaign_units;
+    // The §4 testbed ensembles, each simulated by the first view that
+    // needs it and read by every later one (bench/testbed_common.hpp).
+    std::map<std::string, csense::testbed::experiment_result> ensembles;
     const auto run_start = clock::now();
     for (std::size_t i = 0; i < selected.size(); ++i) {
         const scenario& s = *selected[i];
@@ -602,6 +606,7 @@ int main(int argc, char** argv) {
             ctx.shard_count = opts.shard_count;
             ctx.shard_index = opts.shard_index;
             ctx.campaign_units = opts.shard ? &campaign_units : nullptr;
+            ctx.ensembles = &ensembles;
             csense::core::set_cancellation_token(&cancel);
             std::unique_ptr<watchdog> dog;
             if (budget_ms > 0) {

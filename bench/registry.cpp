@@ -51,18 +51,6 @@ std::uint64_t tier_budget_ms(runtime_tier tier, bool fast_mode) {
 }
 
 bool register_scenario(std::string_view name, std::string_view description,
-                       scenario_fn fn) {
-    return register_scenario(name, description, "", runtime_tier::medium, fn);
-}
-
-bool register_scenario(std::string_view name, std::string_view description,
-                       std::string_view knobs, runtime_tier tier,
-                       scenario_fn fn) {
-    return register_scenario(name, description, knobs, tier,
-                             /*repeatable=*/true, fn);
-}
-
-bool register_scenario(std::string_view name, std::string_view description,
                        std::string_view knobs, runtime_tier tier,
                        bool repeatable, scenario_fn fn) {
     mutable_registry().push_back({std::string(name), std::string(description),

@@ -2,14 +2,16 @@
 // table, ablation, campaign, microbenchmark) is one scenario: a named
 // function that prints its human-readable output and records headline
 // numbers into the run's JSON document. Scenarios self-register at
-// static-initialisation time via CSENSE_SCENARIO / CSENSE_SCENARIO_EX,
-// and the csense_bench driver selects them with --list / --filter.
+// static-initialisation time via CSENSE_SCENARIO_EX (or
+// CSENSE_SCENARIO_EX_ONCE), and the csense_bench driver selects them
+// with --list / --filter.
 // --list-markdown renders the whole registry as the docs/scenarios.md
 // catalog (name, description, runtime tier, scenario-specific knobs).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +25,10 @@ class result_store;
 namespace csense::sim {
 struct campaign_unit;
 }  // namespace csense::sim
+
+namespace csense::testbed {
+struct experiment_result;
+}  // namespace csense::testbed
 
 namespace csense::bench {
 
@@ -98,6 +104,13 @@ struct scenario_context {
     /// every campaign's coverage promise in the shard manifest.
     std::vector<sim::campaign_unit>* campaign_units = nullptr;
 
+    /// The §4 testbed ensembles simulated so far in this process, keyed
+    /// by range ("short" / "long"); owned by the driver, read through
+    /// bench::dataset (bench/testbed_common.hpp). Seed, fast mode and
+    /// thread count are fixed per process, and results do not depend on
+    /// the thread count, so the range alone keys an ensemble.
+    std::map<std::string, testbed::experiment_result>* ensembles = nullptr;
+
     /// Records one named metric (number, string or bool).
     void metric(std::string_view name, report::json_value value) {
         metrics[name] = std::move(value);
@@ -120,12 +133,7 @@ struct scenario {
     scenario_fn run = nullptr;
 };
 
-/// Registers a scenario; called by the CSENSE_SCENARIO macros.
-bool register_scenario(std::string_view name, std::string_view description,
-                       scenario_fn fn);
-bool register_scenario(std::string_view name, std::string_view description,
-                       std::string_view knobs, runtime_tier tier,
-                       scenario_fn fn);
+/// Registers a scenario; called by the CSENSE_SCENARIO_EX macros.
 bool register_scenario(std::string_view name, std::string_view description,
                        std::string_view knobs, runtime_tier tier,
                        bool repeatable, scenario_fn fn);
@@ -164,6 +172,7 @@ std::string json_catalog();
         [[maybe_unused]] ::csense::bench::scenario_context& ctx);           \
     [[maybe_unused]] static const bool csense_scenario_reg_##ident =        \
         ::csense::bench::register_scenario(#ident, desc, knobs, tier,       \
+                                           /*repeatable=*/true,             \
                                            &csense_scenario_##ident);       \
     static int csense_scenario_##ident(                                     \
         [[maybe_unused]] ::csense::bench::scenario_context& ctx)
@@ -176,18 +185,6 @@ std::string json_catalog();
     [[maybe_unused]] static const bool csense_scenario_reg_##ident =        \
         ::csense::bench::register_scenario(#ident, desc, knobs, tier,       \
                                            /*repeatable=*/false,            \
-                                           &csense_scenario_##ident);       \
-    static int csense_scenario_##ident(                                     \
-        [[maybe_unused]] ::csense::bench::scenario_context& ctx)
-
-/// Defines and registers a scenario with default metadata (medium tier,
-/// no scenario-specific knobs). Prefer CSENSE_SCENARIO_EX for anything
-/// that should document itself in the catalog.
-#define CSENSE_SCENARIO(ident, desc)                                        \
-    static int csense_scenario_##ident(                                     \
-        [[maybe_unused]] ::csense::bench::scenario_context& ctx);           \
-    [[maybe_unused]] static const bool csense_scenario_reg_##ident =        \
-        ::csense::bench::register_scenario(#ident, desc,                    \
                                            &csense_scenario_##ident);       \
     static int csense_scenario_##ident(                                     \
         [[maybe_unused]] ::csense::bench::scenario_context& ctx)

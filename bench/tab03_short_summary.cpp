@@ -10,12 +10,13 @@ using namespace csense;
 CSENSE_SCENARIO_EX(tab03_short_summary,
                 "Table 3: short-range ensemble averages per strategy",
                    bench::runtime_tier::slow,
-                   "reuses the short-range ensemble cache; fast when warm") {
+                   "views the short-range testbed ensemble (shared with "
+                   "fig10, fig11 and tab05), simulated once per process") {
     bench::print_header("Table 3 (S4.1) - short range ensemble averages",
                         "average throughput over all runs; paper's absolute "
                         "pkt/s depend on their hardware, the ratios are the "
                         "reproduction target");
-    const auto data = bench::dataset(ctx, /*short_range=*/true);
+    const auto& data = bench::dataset(ctx, /*short_range=*/true);
     bench::print_summary(data, "short range", 1753, 97, 58, 89);
     bench::record_summary(ctx, data);
     std::printf("\nPaper: 'Carrier sense approaches the optimal strategy "

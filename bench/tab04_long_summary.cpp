@@ -10,11 +10,12 @@ using namespace csense;
 CSENSE_SCENARIO_EX(tab04_long_summary,
                 "Table 4: long-range ensemble averages per strategy",
                    bench::runtime_tier::slow,
-                   "reuses the long-range ensemble cache; fast when warm") {
+                   "views the long-range testbed ensemble (shared with "
+                   "fig12 and fig13), simulated once per process") {
     bench::print_header("Table 4 (S4.2) - long range ensemble averages",
                         "average throughput over all runs; ratios are the "
                         "reproduction target");
-    const auto data = bench::dataset(ctx, /*short_range=*/false);
+    const auto& data = bench::dataset(ctx, /*short_range=*/false);
     bench::print_summary(data, "long range", 1029, 90, 73, 69);
     bench::record_summary(ctx, data);
     std::printf("\nPaper: 'Although carrier sense in the long-range here is "

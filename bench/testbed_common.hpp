@@ -1,19 +1,18 @@
-// Shared testbed-experiment driver for the §4 benches (Figures 10-13,
-// Tables 3-4). The short- and long-range datasets are expensive, and
-// several binaries view the same dataset; results are cached in a
-// checksummed result store under ./csense_bench_cache/ (keyed by
-// configuration) so e.g. fig10, fig11 and tab03 compute the ensemble
-// once. A corrupt cache record is quarantined and recomputed, never
-// trusted (src/store/result_store.hpp).
+// Shared testbed-experiment driver for the §4/§5 views (Figures 10-13,
+// Tables 3-5). The short- and long-range ensembles are expensive, and
+// several views read the same one: fig10, fig11, tab03 and tab05 view
+// the short-range ensemble, fig12, fig13 and tab04 the long-range one.
+// Each ensemble is simulated once per csense_bench process and shared
+// in memory; nothing is written to disk (--checkpoint stores every
+// view's scenario record for reuse across processes).
 #pragma once
 
 #include <cstdio>
-#include <iomanip>
-#include <sstream>
+#include <map>
 #include <string>
+#include <utility>
 
 #include "bench/common.hpp"
-#include "src/store/result_store.hpp"
 #include "src/testbed/experiment.hpp"
 
 namespace csense::bench {
@@ -34,98 +33,23 @@ inline testbed::experiment_config bench_config(const scenario_context& ctx,
     return cfg;
 }
 
-inline std::string cache_key(const testbed::experiment_config& cfg) {
-    std::ostringstream key;
-    // v5: runs shard over the campaign layer with per-run split RNG
-    // streams, which changes the sampled pair-of-pairs; the bump keeps
-    // pre-campaign ensembles from being loaded. (threads is deliberately
-    // NOT part of the key: results are thread-count invariant.)
-    key << "v5_" << cfg.runs << "_" << cfg.duration_s << "_" << cfg.category_lo
-        << "_" << cfg.category_hi << "_" << cfg.seed << "_"
-        << cfg.rssi_strata_lo_db << "_" << cfg.rssi_strata_hi_db;
-    return key.str();
-}
-
-/// Serialises an ensemble: one line with the category mean SNR, then one
-/// line of 14 space-separated fields per run, at full round-trip
-/// precision — a cached ensemble must reload to the exact doubles that
-/// were computed, or reruns would not be byte-identical (the bench
-/// determinism guarantee).
-inline std::string encode_ensemble(const testbed::experiment_result& result) {
-    std::ostringstream out;
-    out << std::setprecision(17);
-    out << result.category_snr_db << '\n';
-    for (const auto& r : result.runs) {
-        out << r.pair1.sender << ' ' << r.pair1.receiver << ' '
-            << r.pair2.sender << ' ' << r.pair2.receiver << ' ' << r.mux_pps
-            << ' ' << r.conc_pps << ' ' << r.cs_pps << ' ' << r.conc_pair1
-            << ' ' << r.conc_pair2 << ' ' << r.cs_pair1 << ' ' << r.cs_pair2
-            << ' ' << r.sender_rssi_db << ' ' << r.snr1_db << ' ' << r.snr2_db
-            << '\n';
+/// The ensemble for one category, simulated at most once per process
+/// into the driver's map (scenario_context::ensembles), so every view
+/// of it reads the same runs. An entry is inserted only after
+/// run_experiment returns: a view cancelled by its watchdog, or one
+/// that throws, leaves no partial ensemble for the next view.
+inline const testbed::experiment_result& dataset(const scenario_context& ctx,
+                                                 bool short_range) {
+    auto& ensembles = *ctx.ensembles;
+    const std::string key = short_range ? "short" : "long";
+    if (const auto it = ensembles.find(key); it != ensembles.end()) {
+        return it->second;
     }
-    return out.str();
-}
-
-/// Inverse of encode_ensemble; false when the payload does not hold
-/// exactly `expected_runs` well-formed rows (a stale or foreign record:
-/// the caller recomputes).
-inline bool decode_ensemble(const std::string& payload, int expected_runs,
-                            testbed::experiment_result& result) {
-    std::istringstream in(payload);
-    if (!(in >> result.category_snr_db)) return false;
-    testbed::run_result r;
-    while (in >> r.pair1.sender >> r.pair1.receiver >> r.pair2.sender >>
-           r.pair2.receiver >> r.mux_pps >> r.conc_pps >> r.cs_pps >>
-           r.conc_pair1 >> r.conc_pair2 >> r.cs_pair1 >> r.cs_pair2 >>
-           r.sender_rssi_db >> r.snr1_db >> r.snr2_db) {
-        result.runs.push_back(r);
-    }
-    if (result.runs.size() != static_cast<std::size_t>(expected_runs)) {
-        result = {};
-        return false;
-    }
-    for (const auto& run : result.runs) {
-        result.avg_mux += run.mux_pps;
-        result.avg_conc += run.conc_pps;
-        result.avg_cs += run.cs_pps;
-        result.avg_optimal += run.optimal_pps();
-    }
-    const double n = static_cast<double>(result.runs.size());
-    result.avg_mux /= n;
-    result.avg_conc /= n;
-    result.avg_cs /= n;
-    result.avg_optimal /= n;
-    return true;
-}
-
-/// Run (or load) the ensemble for one category. The cache lives in a
-/// cwd-relative result store (./csense_bench_cache/): records carry a
-/// content checksum, so truncated/bit-flipped/torn cache files are
-/// quarantined and recomputed instead of poisoning the ensemble.
-inline testbed::experiment_result dataset(const scenario_context& ctx,
-                                          bool short_range) {
     const auto cfg = bench_config(ctx, short_range);
-    const std::string key =
-        (short_range ? std::string("short_") : std::string("long_")) +
-        cache_key(cfg);
-
-    testbed::experiment_result result;
-    store::result_store cache("csense_bench_cache", "csense-testbed/1");
-    if (const auto payload = cache.load(key)) {
-        if (decode_ensemble(*payload, cfg.runs, result)) {
-            std::printf("(loaded cached ensemble: %s)\n",
-                        cache.path_for(key).c_str());
-            return result;
-        }
-        result = {};
-    }
-
     std::printf("(simulating %d runs x %.0f s x 20 measurements ...)\n",
                 cfg.runs, cfg.duration_s);
-    const auto bed = testbed::make_default_testbed();
-    result = testbed::run_experiment(bed, cfg);
-    cache.put(key, encode_ensemble(result));
-    return result;
+    auto result = testbed::run_experiment(testbed::make_default_testbed(), cfg);
+    return ensembles.emplace(key, std::move(result)).first->second;
 }
 
 /// Record the ensemble averages as scenario metrics.

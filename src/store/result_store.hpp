@@ -1,10 +1,9 @@
 // Keyed, versioned, crash-safe on-disk result store.
 //
-// Generalizes the old ad-hoc testbed ensemble cache into the layer
-// sharded campaigns sit on: expensive deterministic units of work
-// (scenario results, campaign replication shards, testbed ensembles)
-// persist under a string key as they complete, and a restarted run
-// loads completed units instead of recomputing them.
+// The layer sharded campaigns sit on: expensive deterministic units of
+// work (scenario results, campaign replication shards) persist under a
+// string key as they complete, and a restarted run loads completed
+// units instead of recomputing them.
 //
 // Guarantees:
 //  - Atomic visibility: a record is written to `<file>.tmp` and renamed
@@ -88,7 +87,7 @@ struct store_stats {
 class result_store {
 public:
     /// Opens (creating if needed) the store rooted at `root`. Records
-    /// validate against `schema_version` (e.g. "csense-testbed/1"):
+    /// validate against `schema_version` (e.g. "csense-bench/1"):
     /// bump it whenever the payload semantics change and every old
     /// record becomes a clean miss. Throws std::runtime_error when the
     /// root cannot be created.

@@ -112,16 +112,13 @@ experiment_result run_experiment(const testbed& bed,
     campaign.seed = config.seed;
     result.runs = sim::run_replications<run_result>(campaign, [&](
         std::size_t run, stats::rng& picker) {
-        // Sample two node-disjoint links from the category. When
-        // stratifying, aim each run at a target sender-sender RSSI so the
-        // ensemble covers the near / transition / far axis the way the
-        // thesis' scatter plots do.
+        // Sample two node-disjoint links from the category, aiming each
+        // run at a target sender-sender RSSI so the ensemble covers the
+        // near / transition / far axis the way the thesis' scatter plots
+        // do.
         link p1{}, p2{};
-        double target_rssi = 0.0;
-        if (config.stratify_rssi) {
-            target_rssi = picker.uniform(config.rssi_strata_lo_db,
-                                         config.rssi_strata_hi_db);
-        }
+        const double target_rssi = picker.uniform(config.rssi_strata_lo_db,
+                                                  config.rssi_strata_hi_db);
         int attempts = 0;
         link closest1{}, closest2{};
         double best_miss = 1e300;
@@ -136,7 +133,6 @@ experiment_result run_experiment(const testbed& bed,
                 }
                 continue;
             }
-            if (!config.stratify_rssi) break;
             const double rssi = matrix.snr_db(p1.sender, p2.sender);
             const double miss = std::abs(rssi - target_rssi);
             if (miss < best_miss) {
@@ -176,14 +172,17 @@ experiment_result run_experiment(const testbed& bed,
         r.mux_pps = 0.5 * (best1 + best2);
 
         // Concurrency and carrier sense: joint runs across the rate sweep,
-        // each transmitter's best rate identified independently (§4).
+        // each transmitter's best rate identified independently (§4). The
+        // 6 Mb/s totals are the §5 base-rate strategies.
         for (const auto mode :
              {mac::cs_mode::disabled, mac::cs_mode::energy_and_preamble}) {
             double best_p1 = 0.0, best_p2 = 0.0;
+            double base_total = 0.0;
             for (const auto& rate : rates) {
                 const auto joint = mac::run_two_pair_competition(
                     bed.radio, gains, rate, rate, mode, duration_us,
                     config.payload_bytes, run_seed ^ 0x333);
+                if (rate.mbps == base_rate.mbps) base_total = joint.total_pps();
                 best_p1 = std::max(best_p1, joint.pps_pair1);
                 best_p2 = std::max(best_p2, joint.pps_pair2);
             }
@@ -191,10 +190,12 @@ experiment_result run_experiment(const testbed& bed,
                 r.conc_pair1 = best_p1;
                 r.conc_pair2 = best_p2;
                 r.conc_pps = best_p1 + best_p2;
+                r.conc_base_pps = base_total;
             } else {
                 r.cs_pair1 = best_p1;
                 r.cs_pair2 = best_p2;
                 r.cs_pps = best_p1 + best_p2;
+                r.cs_base_pps = base_total;
             }
         }
         return r;
@@ -212,6 +213,22 @@ experiment_result run_experiment(const testbed& bed,
     result.avg_cs /= n;
     result.avg_optimal /= n;
     return result;
+}
+
+exposed_gain_result exposed_gains(const experiment_result& ensemble) {
+    exposed_gain_result gains;
+    for (const auto& r : ensemble.runs) {
+        gains.base_cs += r.cs_base_pps;
+        gains.base_exposed += std::max(r.cs_base_pps, r.conc_base_pps);
+        gains.adapted_cs += r.cs_pps;
+        gains.adapted_exposed += std::max(r.cs_pps, r.conc_pps);
+    }
+    const auto n = static_cast<double>(ensemble.runs.size());
+    gains.base_cs /= n;
+    gains.base_exposed /= n;
+    gains.adapted_cs /= n;
+    gains.adapted_exposed /= n;
+    return gains;
 }
 
 }  // namespace csense::testbed

@@ -8,7 +8,10 @@
 //    {6, 9, 12, 18, 24} Mb/s with the best rate identified independently
 //    per transmitter (the thesis' oracle-adaptation method);
 //  - report per-run points (Figures 10-13) and ensemble averages
-//    (the §4.1 / §4.2 summary tables).
+//    (the §4.1 / §4.2 summary tables);
+//  - view the short-range ensemble as the §5 informal experiment
+//    (Table 5): bitrate adaptation against exposed-terminal
+//    exploitation, which the thesis runs "on the short-range test set".
 #pragma once
 
 #include <memory>
@@ -27,10 +30,9 @@ struct experiment_config {
     double category_hi = 1.00;
     std::uint64_t seed = 7;
     double logistic_width_db = 2.5;///< PER waterfall width for the PHY
-    /// Stratify sampled pair-of-pairs across the sender-sender RSSI axis
-    /// (the x-axis of Figures 11/13, which the thesis' points cover
-    /// roughly uniformly). Disable for purely geometric sampling.
-    bool stratify_rssi = true;
+    /// Sender-sender RSSI band (the x-axis of Figures 11/13, which the
+    /// thesis' points cover roughly uniformly): each run aims its
+    /// pair-of-pairs at a target drawn uniformly from it.
     double rssi_strata_lo_db = -5.0;
     double rssi_strata_hi_db = 35.0;
     /// Worker threads for sharding runs over the campaign layer
@@ -48,6 +50,8 @@ struct run_result {
     double cs_pps = 0.0;           ///< CS enabled
     double conc_pair1 = 0.0, conc_pair2 = 0.0;
     double cs_pair1 = 0.0, cs_pair2 = 0.0;
+    double conc_base_pps = 0.0;    ///< CS disabled, both at 6 Mb/s
+    double cs_base_pps = 0.0;      ///< CS enabled, both at 6 Mb/s
     double sender_rssi_db = 0.0;   ///< sender-sender SNR above the floor
     double snr1_db = 0.0, snr2_db = 0.0;
 
@@ -69,6 +73,25 @@ struct experiment_result {
     double cs_fraction() const noexcept { return avg_cs / avg_optimal; }
     double mux_fraction() const noexcept { return avg_mux / avg_optimal; }
     double conc_fraction() const noexcept { return avg_conc / avg_optimal; }
+};
+
+/// The §5 comparison: ensemble averages for four strategies.
+struct exposed_gain_result {
+    double base_cs = 0.0;        ///< 6 Mb/s, carrier sense
+    double base_exposed = 0.0;   ///< 6 Mb/s, best of CS / concurrency per run
+    double adapted_cs = 0.0;     ///< best rate, carrier sense
+    double adapted_exposed = 0.0;///< best rate, best of CS / concurrency
+
+    /// Adaptation gain over base rate (thesis: "more than doubles").
+    double adaptation_gain() const noexcept { return adapted_cs / base_cs; }
+    /// Exposed-terminal gain at fixed base rate (thesis: ~1.10).
+    double exposed_gain_base() const noexcept {
+        return base_exposed / base_cs;
+    }
+    /// Exposed-terminal gain on top of adaptation (thesis: ~1.03).
+    double exposed_gain_adapted() const noexcept {
+        return adapted_exposed / adapted_cs;
+    }
 };
 
 /// A complete synthetic testbed: layout + per-band channel matrices.
@@ -93,6 +116,11 @@ testbed make_default_testbed(int node_count = 50, std::uint64_t seed = 11,
 /// Run the full §4 experiment over one category window.
 experiment_result run_experiment(const testbed& bed,
                                  const experiment_config& config);
+
+/// The §5 comparison over an ensemble's runs (Table 5 views the
+/// short-range one). "Perfect exposed exploitation" is the best of
+/// carrier sense and concurrency per run.
+exposed_gain_result exposed_gains(const experiment_result& ensemble);
 
 /// Convenience: the thesis' two categories.
 experiment_config short_range_config();

@@ -12,6 +12,8 @@
 #include <sstream>
 #include <string>
 
+#include "src/report/json.hpp"
+
 namespace {
 
 std::string read_file(const std::string& path) {
@@ -50,26 +52,62 @@ TEST(BenchDeterminism, SameSeedByteIdenticalJson) {
         << "same scenario + same seed must serialise identically";
 }
 
-TEST(BenchDeterminism, CacheRoundTripByteIdentical) {
-    // tab03 exercises bench::dataset(): the first run computes the
-    // ensemble and writes the TSV cache, the second reloads it. The JSON
-    // must not change across that compute-then-load boundary (guards the
-    // full-precision cache write and the .meta sidecar handling).
-    const std::filesystem::path work =
-        std::filesystem::path(::testing::TempDir()) / "csense_cache_rt";
-    std::filesystem::remove_all(work);
+/// One scenario's "metrics" object from a bench document, compact; empty
+/// when the document or the scenario is missing.
+std::string scenario_metrics(const std::string& json_path,
+                             const std::string& name) {
+    const auto doc = csense::report::json_value::parse(read_file(json_path));
+    const auto* list = doc ? doc->find("scenarios") : nullptr;
+    for (std::size_t i = 0; list != nullptr && i < list->size(); ++i) {
+        const auto* entry_name = list->at(i).find("name");
+        const auto* metrics = list->at(i).find("metrics");
+        if (entry_name != nullptr && metrics != nullptr &&
+            entry_name->to_string_value() == name) {
+            return metrics->dump(0);
+        }
+    }
+    return "";
+}
+
+TEST(BenchDeterminism, TestbedViewsShareOneEnsembleAndWriteNothing) {
+    // fig10, tab03 and tab05 view the short-range ensemble: one process
+    // simulates it once, every view reads the same runs, and the run
+    // leaves its working directory untouched. Each view must report what
+    // it reports when run alone.
+    const std::filesystem::path base =
+        std::filesystem::path(::testing::TempDir()) / "csense_testbed_views";
+    std::filesystem::remove_all(base);
+    const auto work = base / "work";
     std::filesystem::create_directories(work);
-    const std::string a = (work / "cold.json").string();
-    const std::string b = (work / "cached.json").string();
-    ASSERT_EQ(run_bench_in(work.string(), "tab03_short_summary", a, 99), 0);
-    ASSERT_TRUE(std::filesystem::exists(work / "csense_bench_cache"))
-        << "expected the run to write an ensemble cache";
-    ASSERT_EQ(run_bench_in(work.string(), "tab03_short_summary", b, 99), 0);
-    const std::string json_a = read_file(a);
-    const std::string json_b = read_file(b);
-    ASSERT_FALSE(json_a.empty());
-    EXPECT_EQ(json_a, json_b)
-        << "cached reload must reproduce the computed run byte-for-byte";
+    const std::string joint = (base / "joint.json").string();
+    const std::string log = (base / "joint.log").string();
+    ASSERT_EQ(std::system(("cd \"" + work.string() + "\" && CSENSE_FAST=1 \"" +
+                           CSENSE_BENCH_BINARY +
+                           "\" --filter fig10_short_scatter,"
+                           "tab03_short_summary,tab05_exposed_gain --seed 7 "
+                           "--no-timings --json \"" + joint + "\" > \"" +
+                           log + "\"")
+                              .c_str()),
+              0);
+    EXPECT_TRUE(std::filesystem::is_empty(work))
+        << "the testbed views must not write to the working directory";
+    const std::string output = read_file(log);
+    const auto first = output.find("(simulating");
+    ASSERT_NE(first, std::string::npos);
+    EXPECT_EQ(output.find("(simulating", first + 1), std::string::npos)
+        << "the short-range ensemble must be simulated once per process";
+
+    for (const std::string name : {"tab03_short_summary",
+                                   "tab05_exposed_gain"}) {
+        const std::string alone = (base / (name + ".json")).string();
+        ASSERT_EQ(run_bench_in(work.string(), name, alone, 7), 0);
+        const std::string shared = scenario_metrics(joint, name);
+        EXPECT_GT(shared.size(), 2u) << name << ": no metrics recorded";
+        EXPECT_EQ(shared, scenario_metrics(alone, name))
+            << name << ": a view must not depend on which view simulated "
+               "its ensemble";
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(work));
 }
 
 TEST(BenchDeterminism, ThreadCountInvariantJson) {
@@ -84,28 +122,25 @@ TEST(BenchDeterminism, ThreadCountInvariantJson) {
     // drives the unsaturated-traffic path (per-node Poisson arrival
     // streams, FIFO queues, streaming-quantile latency merges, ARF),
     // whose arrival RNGs are split per node and whose quantile merges
-    // run in pair-index order - neither may depend on thread count.
+    // run in pair-index order - neither may depend on thread count;
+    // tab03 and tab05 run the §4 testbed experiment, whose pair-of-pairs
+    // runs shard over the campaign layer.
     for (const char* filter : {"fig07_optimal_threshold",
                                "fig05_cs_piecewise",
                                "camp01_cumulative_interference",
                                "camp03_adaptive_convergence",
-                               "camp06_unsaturated_load"}) {
-        // Fresh working directory per run so cwd-relative scenario
-        // artifacts (the testbed cache) can never leak state from the
-        // 1-thread run into the 4-thread run and mask a divergence.
+                               "camp06_unsaturated_load",
+                               "tab03_short_summary,tab05_exposed_gain"}) {
         const std::filesystem::path base =
             std::filesystem::path(::testing::TempDir()) /
             (std::string("csense_threads_") + filter);
         std::filesystem::remove_all(base);
-        const auto work1 = base / "t1";
-        const auto work4 = base / "t4";
-        std::filesystem::create_directories(work1);
-        std::filesystem::create_directories(work4);
+        std::filesystem::create_directories(base);
         const std::string t1 = (base / "t1.json").string();
         const std::string t4 = (base / "t4.json").string();
-        ASSERT_EQ(run_bench_in(work1.string(), filter, t1, 1, /*threads=*/1),
+        ASSERT_EQ(run_bench_in(base.string(), filter, t1, 1, /*threads=*/1),
                   0);
-        ASSERT_EQ(run_bench_in(work4.string(), filter, t4, 1, /*threads=*/4),
+        ASSERT_EQ(run_bench_in(base.string(), filter, t4, 1, /*threads=*/4),
                   0);
         const std::string json_t1 = read_file(t1);
         ASSERT_FALSE(json_t1.empty());

@@ -14,15 +14,19 @@
 // The document was first recorded by the binary from before traffic
 // sources existed, which the traffic-source / per-node-queue refactor
 // reproduced exactly; running the floor-less medium on the neighbor-list
-// row passes left it untouched too. It was re-pinned once since, for a
-// deliberate behaviour fix: an energy-detect flip no longer restarts a
-// running DIFS (or counts a defer) at a node whose carrier sense
-// ignores energy. That moves only the CS-off and preamble-only metrics
-// (camp01 n*_sim_conc_pps and the model correlations built on them,
-// camp02 mode_disabled_* and mode_preamble_*, tab05
-// exposed_gain_adapted). If this test fails, the MAC changed the
-// saturated event sequence - a regression, not a baseline to re-record
-// casually.
+// row passes left it untouched too. It was re-pinned twice since:
+//  - for a deliberate behaviour fix: an energy-detect flip no longer
+//    restarts a running DIFS (or counts a defer) at a node whose carrier
+//    sense ignores energy. That moved only the CS-off and preamble-only
+//    metrics (camp01 n*_sim_conc_pps and the model correlations built on
+//    them, camp02 mode_disabled_* and mode_preamble_*, tab05
+//    exposed_gain_adapted);
+//  - when Table 5 stopped sampling its own pair-of-pairs and became a
+//    view of the short-range §4 ensemble (testbed::exposed_gains): its
+//    five metrics now average the runs Table 3 averages. That moved only
+//    tab05's entry; camp01 and camp02 stayed byte-identical.
+// If this test fails, the MAC changed the saturated event sequence - a
+// regression, not a baseline to re-record casually.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "src/capacity/error_models.hpp"
-#include "src/testbed/exposed.hpp"
 #include "src/testbed/experiment.hpp"
 #include "src/testbed/layout.hpp"
 #include "src/testbed/rssi_survey.hpp"
@@ -151,6 +150,11 @@ TEST(Experiment, SmallRunProducesCoherentResults) {
         EXPECT_GT(r.snr1_db, 5.0);  // category links are usable
         // CS tracks at least a third of optimal even in the worst run.
         EXPECT_GT(r.cs_pps, 0.3 * r.optimal_pps());
+        // The 6 Mb/s totals are steps of the sweep the best rates
+        // maximise over, so per-pair best rates never total less.
+        EXPECT_GT(r.cs_base_pps, 0.0);
+        EXPECT_LE(r.cs_base_pps, r.cs_pps);
+        EXPECT_LE(r.conc_base_pps, r.conc_pps);
     }
     EXPECT_GT(result.avg_optimal, 0.0);
     EXPECT_GT(result.cs_fraction(), 0.5);
@@ -200,7 +204,7 @@ TEST(ExposedGain, AdaptationDominatesExposedExploitation) {
     auto cfg = short_range_config();
     cfg.runs = 10;
     cfg.duration_s = 1.5;
-    const auto result = run_exposed_gain_experiment(bed, cfg);
+    const auto result = exposed_gains(run_experiment(bed, cfg));
     EXPECT_GT(result.base_cs, 0.0);
     EXPECT_GT(result.adaptation_gain(), 1.5);
     EXPECT_GE(result.exposed_gain_base(), 1.0);
