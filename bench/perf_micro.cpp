@@ -1,8 +1,8 @@
 // Performance microbenchmarks (google-benchmark) for the numerical and
 // simulation hot paths: point capacities, disc quadrature, the shadowed
 // concurrency expectation, the U-statistic optimal-MAC estimator, the
-// event queue, one transmitter's medium fan-out, and a saturated DCF
-// second.
+// event queue, one transmitter's medium fan-out (with and without
+// locks in its row), and a saturated DCF second.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -281,7 +281,8 @@ void medium_dense_args(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(bm_medium_dense)->Apply(medium_dense_args);
 
-/// Listener for bm_medium_fanout: counts CCA flips, otherwise inert.
+/// Listener for the medium fan-out micros: counts CCA flips, otherwise
+/// inert.
 struct counting_listener final : mac::medium_listener {
     std::uint64_t flips = 0;
     void on_energy_busy(bool) override { ++flips; }
@@ -290,37 +291,78 @@ struct counting_listener final : mac::medium_listener {
     void on_tx_complete(const mac::frame&) override {}
 };
 
-void bm_medium_fanout(benchmark::State& state) {
-    // The medium rung of the perf ladder, with no MAC above it: one
-    // transmitter and k listeners on the neighbor-culled medium, each
-    // hearing it at -100 dBm - above the audibility floor, so every
-    // listener sits in the transmitter's CSR row, but below both the
-    // CCA threshold and the preamble sensitivity, so nothing flips,
-    // locks or decodes. One iteration is one frame's full round: the
-    // start's row pass, a CCA sample of the row, the end's row pass and
-    // another CCA sample.
-    const auto listeners = static_cast<mac::node_id>(state.range(0));
-    sim::simulator simulator;
+/// The default radio with the audibility floor at noise - 20 dB, so the
+/// medium culls to CSR rows.
+mac::radio_config culled_radio() {
     mac::radio_config radio;
     radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;
+    return radio;
+}
+
+/// The fan-out micros' medium: node 0 and listeners 1..k on the culled
+/// medium, each hearing node 0 at -100 dBm, and node 0's 54 Mb/s frame.
+struct fanout_bed {
+    explicit fanout_bed(mac::node_id listeners) {
+        for (mac::node_id n = 0; n <= listeners; ++n) air.add_node(listener);
+        for (mac::node_id n = 1; n <= listeners; ++n) {
+            air.set_link_gain_db(0, n, -100.0 - radio.tx_power_dbm);
+        }
+        f.src = 0;
+        f.bytes = 100;
+        f.rate = &capacity::rate_by_mbps(54.0);
+    }
+
+    sim::simulator simulator;
+    const mac::radio_config radio = culled_radio();
     const capacity::logistic_per_model errors;
-    mac::medium air(simulator, radio, errors, 1);
     counting_listener listener;
-    for (mac::node_id n = 0; n <= listeners; ++n) air.add_node(listener);
-    for (mac::node_id n = 1; n <= listeners; ++n) {
-        air.set_link_gain_db(0, n, -100.0 - radio.tx_power_dbm);
-    }
+    mac::medium air{simulator, radio, errors, 1};
     mac::frame f;
-    f.src = 0;
-    f.bytes = 100;
-    f.rate = &capacity::rate_by_mbps(54.0);
+};
+
+void bm_medium_fanout(benchmark::State& state) {
+    // The medium rung of the perf ladder, with no MAC above it: one
+    // transmitter and k listeners, each hearing it at -100 dBm - above
+    // the audibility floor, so every listener sits in the transmitter's
+    // CSR row, but below both the CCA threshold and the preamble
+    // sensitivity, so nothing flips, locks or decodes. One iteration is
+    // one frame's full round: the start's row pass, a CCA sample of the
+    // row, the end's row pass and another CCA sample.
+    fanout_bed bed(static_cast<mac::node_id>(state.range(0)));
     for (auto _ : state) {
-        air.start_transmission(0, f, true);
-        simulator.run_all();
+        bed.air.start_transmission(0, bed.f, true);
+        bed.simulator.run_all();
     }
-    benchmark::DoNotOptimize(listener.flips);
+    benchmark::DoNotOptimize(bed.listener.flips);
 }
 BENCHMARK(bm_medium_fanout)->Arg(16)->Arg(64)->Arg(256)->Apply(tune);
+
+void bm_medium_fanout_locked(benchmark::State& state) {
+    // bm_medium_fanout with locks in the row, which a dense run has at
+    // about half of its row visits: each iteration first starts a
+    // second transmitter that every other listener hears at -60 dBm and
+    // locks onto, then runs the same round. The round's start and end
+    // passes find half the row locked, on a frame that outlasts the
+    // round; that frame's own start, CCA flips, end and decodes are
+    // timed too.
+    const auto listeners = static_cast<mac::node_id>(state.range(0));
+    fanout_bed bed(listeners);
+    const mac::node_id locker = bed.air.add_node(bed.listener);
+    for (mac::node_id n = 1; n <= listeners; n += 2) {
+        bed.air.set_link_gain_db(locker, n, -60.0 - bed.radio.tx_power_dbm);
+    }
+    // At 6 Mb/s the second frame outlasts the round's frame.
+    mac::frame held = bed.f;
+    held.src = locker;
+    held.rate = &capacity::rate_by_mbps(6.0);
+    for (auto _ : state) {
+        bed.air.start_transmission(locker, held, true);
+        bed.air.start_transmission(0, bed.f, true);
+        bed.simulator.run_all();
+    }
+    benchmark::DoNotOptimize(bed.listener.flips);
+}
+BENCHMARK(bm_medium_fanout_locked)->Arg(16)->Arg(64)->Arg(256)->Apply(tune);
 
 void bm_dcf_simulated_second(benchmark::State& state) {
     const auto& rate = capacity::rate_by_mbps(24.0);

@@ -62,12 +62,9 @@ void medium::check_node(node_id n, const char* what) const {
 
 void medium::reserve_nodes(std::size_t nodes) {
     listeners_.reserve(nodes);
-    cca_.reserve(nodes);
-    ext_mw_.reserve(nodes);
-    audible_count_.reserve(nodes);
-    lock_by_node_.reserve(nodes);
-    tx_flag_by_node_.reserve(nodes);
-    on_air_.reserve(nodes);
+    nodes_.reserve(nodes);
+    cca_threshold_dbm_.reserve(nodes);
+    slots_.reserve(nodes);
 }
 
 node_id medium::add_node(medium_listener& listener) {
@@ -79,18 +76,14 @@ node_id medium::add_node(medium_listener& listener, double cca_threshold_dbm) {
         throw std::logic_error("medium::add_node: topology is frozen once "
                                "transmissions begin");
     }
-    cca_state cca;
-    cca.threshold_mw = checked_cca_threshold_mw(cca_threshold_dbm);
-    cca.threshold_dbm = cca_threshold_dbm;
-    cca.sample_mw = noise_mw_;  // the silent air, until the first sample
+    node_air node;
+    node.cca_threshold_mw = checked_cca_threshold_mw(cca_threshold_dbm);
+    node.cca_sample_mw = noise_mw_;  // the silent air, until the first sample
     const auto id = static_cast<node_id>(listeners_.size());
     listeners_.push_back(&listener);
-    cca_.push_back(cca);
-    ext_mw_.emplace_back();
-    audible_count_.push_back(0);
-    lock_by_node_.emplace_back();
-    tx_flag_by_node_.push_back(0);
-    on_air_.emplace_back();
+    nodes_.push_back(node);
+    cca_threshold_dbm_.push_back(cca_threshold_dbm);
+    slots_.emplace_back();
     return id;
 }
 
@@ -154,7 +147,7 @@ double medium::rx_power_dbm(node_id tx, node_id rx) const {
 
 bool medium::transmitting(node_id n) const {
     check_node(n, "medium::transmitting");
-    return tx_flag_by_node_[n] != 0;
+    return nodes_[n].on_air;
 }
 
 std::size_t medium::neighbor_count(node_id n) const {
@@ -213,18 +206,18 @@ void medium::freeze_topology() {
 }
 
 const double* medium::row_rx_mw(node_id src) const {
-    const std::vector<double>& faded = on_air_[src].rx_mw;
+    const std::vector<double>& faded = slots_[src].rx_mw;
     return faded.empty() ? nbr_rx_mw_.data() + nbr_offset_[src]
                          : faded.data();
 }
 
-double medium::external_mw(node_id n) const {
-    return noise_mw_ + std::max(ext_mw_[n].value(), 0.0);
+double medium::external_mw(const node_air& node) const {
+    return noise_mw_ + std::max(node.ext_mw.value(), 0.0);
 }
 
 double medium::external_power_dbm(node_id n) const {
     check_node(n, "medium::external_power_dbm");
-    return propagation::mw_to_dbm(external_mw(n));
+    return propagation::mw_to_dbm(external_mw(nodes_[n]));
 }
 
 double medium::checked_cca_threshold_mw(double threshold_dbm) const {
@@ -242,26 +235,26 @@ double medium::checked_cca_threshold_mw(double threshold_dbm) const {
 
 void medium::set_cca_threshold_dbm(node_id n, double threshold_dbm) {
     check_node(n, "medium::set_cca_threshold_dbm");
-    cca_[n].threshold_mw = checked_cca_threshold_mw(threshold_dbm);
-    cca_[n].threshold_dbm = threshold_dbm;
+    nodes_[n].cca_threshold_mw = checked_cca_threshold_mw(threshold_dbm);
+    cca_threshold_dbm_[n] = threshold_dbm;
     cca_judge(n);
 }
 
 double medium::cca_threshold_dbm(node_id n) const {
     check_node(n, "medium::cca_threshold_dbm");
-    return cca_[n].threshold_dbm;
+    return cca_threshold_dbm_[n];
 }
 
 void medium::cca_sample(node_id n) {
-    cca_[n].sample_mw = external_mw(n);
+    nodes_[n].cca_sample_mw = external_mw(nodes_[n]);
     cca_judge(n);
 }
 
 void medium::cca_judge(node_id n) {
-    cca_state& c = cca_[n];
-    const bool busy = c.sample_mw >= c.threshold_mw;
-    if (busy == c.busy) return;
-    c.busy = busy;
+    node_air& node = nodes_[n];
+    const bool busy = node.cca_sample_mw >= node.cca_threshold_mw;
+    if (busy == node.cca_busy) return;
+    node.cca_busy = busy;
     listeners_[n]->on_energy_busy(busy);
 }
 
@@ -288,18 +281,19 @@ void medium::refresh_power_sums() {
     // ascending id, so the compensated accounting can never drift over
     // long runs. Keyed to event counts by the caller - deterministic,
     // never wall clock.
-    for (std::size_t n = 0; n < ext_mw_.size(); ++n) {
-        ext_mw_[n].reset();
-        audible_count_[n] = 0;
+    for (node_air& node : nodes_) {
+        node.ext_mw.reset();
+        node.audible = 0;
     }
-    for (node_id src = 0; src < on_air_.size(); ++src) {
-        if (tx_flag_by_node_[src] == 0) continue;
+    for (node_id src = 0; src < nodes_.size(); ++src) {
+        if (!nodes_[src].on_air) continue;
         const double* row = row_rx_mw(src);
         const std::size_t begin = nbr_offset_[src];
         const std::size_t end = nbr_offset_[src + 1];
         for (std::size_t s = begin; s < end; ++s) {
-            ext_mw_[nbr_id_[s]].add(row[s - begin]);
-            ++audible_count_[nbr_id_[s]];
+            node_air& node = nodes_[nbr_id_[s]];
+            node.ext_mw.add(row[s - begin]);
+            ++node.audible;
         }
     }
 }
@@ -307,7 +301,8 @@ void medium::refresh_power_sums() {
 void medium::start_transmission(node_id src, const frame& f,
                                 bool cs_said_idle) {
     check_node(src, "medium::start_transmission");
-    if (tx_flag_by_node_[src] != 0) {
+    node_air& self = nodes_[src];
+    if (self.on_air) {
         throw std::logic_error("medium::start_transmission: already on air");
     }
     if (!frozen_) freeze_topology();
@@ -315,37 +310,13 @@ void medium::start_transmission(node_id src, const frame& f,
     const sim::time_us now = sim_.now();
     const std::size_t begin = nbr_offset_[src];
     const std::size_t end = nbr_offset_[src + 1];
-    // Pathology accounting: did this start overlap an audible frame?
-    bool audible = false;
-    bool mutual_recent_start = false;
-    for (std::size_t s = begin; s < end; ++s) {
-        const node_id n = nbr_id_[s];
-        if (tx_flag_by_node_[n] == 0) continue;
-        // Unfaded sensed power, symmetric in (src, neighbor): one
-        // precomputed row value answers both directions of the
-        // mutual-audibility check.
-        if (nbr_rx_mw_[s] >= cs_threshold_mw_) {
-            audible = true;
-            if (now - on_air_[n].start <= capacity::ofdm_timing::slot_us) {
-                mutual_recent_start = true;
-            }
-        }
-    }
-    if (audible) {
-        ++counters_.busy_starts;
-        if (mutual_recent_start) {
-            ++counters_.slot_collisions;
-        } else if (cs_said_idle) {
-            ++counters_.chain_collisions;
-        }
-    }
 
     // A transmitter abandons any reception in progress.
-    lock_by_node_[src].reset();
+    self.lock.src = no_lock;
 
     // The node's slot is free: it is off air, and its last frame's end
     // settled every reception locked to it.
-    transmission& t = on_air_[src];
+    transmission& t = slots_[src];
     t.f = f;
     t.start = now;
     t.end = now + f.airtime_us();
@@ -360,27 +331,37 @@ void medium::start_transmission(node_id src, const frame& f,
                 nbr_rx_mw_[s] * propagation::db_to_linear(fade);
         }
     }
-    tx_flag_by_node_[src] = 1;
+    self.on_air = true;
 
+    // Pathology accounting: did this start overlap an audible frame?
+    bool audible = false;
+    bool mutual_recent_start = false;
     const double* row = row_rx_mw(src);
     // One pass in row order. At each neighbor the frame's power joins
-    // the running external sum, hits any reception in progress as new
-    // interference, and then offers the neighbor a lock.
+    // the running external sum and raises the worst external power of
+    // the neighbor's lock (if it holds one: no branch); then the
+    // neighbor counts toward the pathology accounting if it is on the
+    // air and audible, and is offered a lock.
     for (std::size_t s = begin; s < end; ++s) {
         const node_id n = nbr_id_[s];
+        node_air& node = nodes_[n];
         const double power_mw = row[s - begin];
-        ext_mw_[n].add(power_mw);
-        ++audible_count_[n];
-        const double external = external_mw(n);
-        auto& lock = lock_by_node_[n];
-        if (lock) {
-            const double interference =
-                std::max(external - lock->signal_mw, min_positive_mw);
-            lock->min_sinr =
-                std::min(lock->min_sinr, lock->signal_mw / interference);
+        node.ext_mw.add(power_mw);
+        ++node.audible;
+        const double external = external_mw(node);
+        node.lock.max_external_mw =
+            std::max(node.lock.max_external_mw, external);
+        // Unfaded sensed power, symmetric in (src, neighbor): one
+        // precomputed row value answers both directions of the
+        // mutual-audibility check. Rarely true, so tested first.
+        if (nbr_rx_mw_[s] >= cs_threshold_mw_ && node.on_air) {
+            audible = true;
+            if (now - slots_[n].start <= capacity::ofdm_timing::slot_us) {
+                mutual_recent_start = true;
+            }
         }
-        if (tx_flag_by_node_[n] != 0) continue;  // deaf while transmitting
         if (power_mw < preamble_threshold_mw_) continue;
+        if (node.on_air) continue;  // deaf while transmitting
         const double interference =
             std::max(external - power_mw, min_positive_mw);
         if (power_mw < capture_ratio_ * interference) continue;
@@ -390,8 +371,16 @@ void medium::start_transmission(node_id src, const frame& f,
         const sim::time_us until = t.end;
         sim_.schedule_in(radio_.cca_delay_us,
                          [listener, until] { listener->on_preamble(until); });
-        if (!lock) {
-            lock = reception{src, power_mw, power_mw / interference};
+        if (node.lock.src == no_lock) {
+            node.lock = reception{src, power_mw, external};
+        }
+    }
+    if (audible) {
+        ++counters_.busy_starts;
+        if (mutual_recent_start) {
+            ++counters_.slot_collisions;
+        } else if (cs_said_idle) {
+            ++counters_.chain_collisions;
         }
     }
     sample_cca_after_delay(src);
@@ -402,8 +391,8 @@ void medium::start_transmission(node_id src, const frame& f,
 void medium::end_transmission(node_id src) {
     // Copy the frame the callbacks need: on_tx_complete may start src's
     // next frame, which reuses the slot.
-    const frame ended = on_air_[src].f;
-    tx_flag_by_node_[src] = 0;
+    const frame ended = slots_[src].f;
+    nodes_[src].on_air = false;
 
     // end_transmission only runs from a scheduled event, never nested,
     // so the member scratch is free here.
@@ -414,26 +403,31 @@ void medium::end_transmission(node_id src) {
     const std::size_t end = nbr_offset_[src + 1];
     // One pass in row order: the frame's power leaves each neighbor's
     // sum, and a reception locked to it settles at the PER of its worst
-    // SINR. Only row neighbors can hold such a lock (locking requires
-    // power above the preamble sensitivity, which sits above the floor).
-    // Interference relief never lowers a min-SINR, so no other
-    // reception needs a visit.
+    // SINR, formed here from the worst external power the lock saw.
+    // Only row neighbors can hold such a lock (locking requires power
+    // above the preamble sensitivity, which sits above the floor).
+    // Interference relief never raises a lock's worst external power,
+    // so no other reception needs a visit.
     for (std::size_t s = begin; s < end; ++s) {
         const node_id n = nbr_id_[s];
-        ext_mw_[n].sub(row[s - begin]);
-        if (--audible_count_[n] == 0) {
+        node_air& node = nodes_[n];
+        node.ext_mw.sub(row[s - begin]);
+        if (--node.audible == 0) {
             // The audible set emptied: the true sum is exactly zero, so
             // drop any accumulated rounding with it.
-            ext_mw_[n].reset();
+            node.ext_mw.reset();
         }
-        auto& lock = lock_by_node_[n];
-        if (!lock || lock->src != src) continue;
-        const double sinr_db = propagation::linear_to_db(lock->min_sinr);
+        if (node.lock.src != src) continue;
+        const double signal_mw = node.lock.signal_mw;
+        const double worst_sinr =
+            signal_mw / std::max(node.lock.max_external_mw - signal_mw,
+                                 min_positive_mw);
+        const double sinr_db = propagation::linear_to_db(worst_sinr);
         const double per =
             errors_.packet_error_rate(*ended.rate, sinr_db, ended.bytes);
         const bool decoded = rng_.uniform() >= per;
         deliveries.push_back({n, decoded});
-        lock.reset();
+        node.lock.src = no_lock;
     }
     if (radio_.power_refresh_interval > 0 &&
         ++ends_since_refresh_ >= radio_.power_refresh_interval) {

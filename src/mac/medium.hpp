@@ -11,7 +11,12 @@
 //    just interference (the thesis notes its testbed ran this way);
 //  - the frame decodes with probability 1 - PER (the logistic model,
 //    capacity::logistic_per_model) evaluated at the worst SINR observed
-//    during the reception;
+//    during the reception. A lock tracks the worst external power it
+//    has seen, and the SINR is formed once, when the reception settles:
+//    signal / max(external - signal, tiny) never increases as external
+//    grows, also under round-to-nearest (rounded subtraction, max and
+//    division by a positive value are all monotone), so the SINR at
+//    the worst external power is the worst SINR, bit for bit;
 //  - nodes that are transmitting hear nothing - the root of the
 //    "chain collision" pathology for preamble-based carrier sense.
 //
@@ -21,9 +26,11 @@
 //
 // Energy-detect CCA lives here, not in the nodes. Each node registers
 // its threshold, which the medium holds in mW next to the node's last
-// CCA sample of external power and its busy bit. A power change is
-// sampled cca_delay_us later (the stale window behind slot
-// collisions); the sample is compared in mW and the node hears
+// CCA sample of external power and its busy bit - in the node's
+// one-cache-line record (node_air) with its power sum, on-air flag and
+// lock, so a row visit or a CCA sample touches one line per node. A
+// power change is sampled cca_delay_us later (the stale window behind
+// slot collisions); the sample is compared in mW and the node hears
 // medium_listener::on_energy_busy only when its busy bit flips. The
 // sample after a transmission starts or ends covers the transmitter's
 // audible neighbors - the nodes whose power moved - plus the
@@ -34,14 +41,16 @@
 // sorted once; at the first transmission the topology freezes into
 // per-node audibility neighbor lists (CSR rows, sorted by node id) with
 // each link's rx power precomputed in mW. Every node carries an
-// incremental Kahan-compensated running sum of external power, updated
-// on tx start/end. A start or an end is one pass over the transmitter's
-// row, and SINR is tracked as a linear ratio, converted to dB once per
-// reception at the PER lookup - so every event is O(k) in the
-// transmitter's k audible neighbors. An exact reset whenever a node's
-// audible set empties plus a periodic exact refresh
-// (radio_config::power_refresh_interval) keep the incremental sums
-// drift-free and deterministic. radio_config::audibility_floor_dbm
+// incremental compensated running sum of external power
+// (stats::kahan_sum, branch-free TwoSum), updated on tx start/end. A
+// start or an end is one pass over the transmitter's row - the start's
+// pass also does the pathology accounting - with no branch on a
+// neighbor's lock on the common path, and SINR is a linear ratio,
+// converted to dB once per reception at the PER lookup - so every
+// event is O(k) in the transmitter's k audible neighbors. An exact
+// reset whenever a node's audible set empties plus a periodic exact
+// refresh (radio_config::power_refresh_interval) keep the incremental
+// sums drift-free and deterministic. radio_config::audibility_floor_dbm
 // decides which links join the rows: with the floor disabled (the
 // default, a floor at -infinity) every link set with set_link_gain_db
 // is audible and the medium is exact, k = N - 1 on a full topology;
@@ -58,7 +67,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <limits>
 #include <vector>
 
 #include "src/capacity/error_models.hpp"
@@ -178,7 +187,7 @@ public:
     /// after frame, so this equals node_count() however long the run
     /// lasts. Exposed for the bounded-memory regression tests.
     std::size_t transmission_log_size() const noexcept {
-        return on_air_.size();
+        return slots_.size();
     }
 
 private:
@@ -193,19 +202,35 @@ private:
         std::vector<double> rx_mw;
     };
 
+    /// reception::src of a node that holds no lock.
+    static constexpr node_id no_lock = std::numeric_limits<node_id>::max();
+
+    /// A node's reception in progress. Every start raises
+    /// max_external_mw at each row neighbor, locked or not (a new lock
+    /// overwrites it), and the reception settles at the SINR of the
+    /// worst external power (see the header comment).
     struct reception {
-        node_id src;            ///< the transmitter, on air until it ends
-        double signal_mw;
-        double min_sinr;        ///< worst SINR so far, a linear ratio
+        node_id src = no_lock;  ///< the transmitter, on air until it ends
+        double signal_mw = 0.0;
+        double max_external_mw = 0.0;  ///< worst external power so far
     };
 
-    /// One node's energy-detect CCA, compared in mW.
-    struct cca_state {
-        double threshold_dbm = 0.0;  ///< as registered
-        double threshold_mw = 0.0;   ///< smallest power that reads busy
-        double sample_mw = 0.0;      ///< last CCA-sampled external power
-        bool busy = false;
+    /// All the per-node state a row visit or a CCA sample touches, one
+    /// cache line per node (the registered dBm threshold, read only by
+    /// cca_threshold_dbm, stays in a cold vector).
+    struct alignas(64) node_air {
+        /// External power in mW, excluding the noise floor.
+        stats::kahan_sum ext_mw;
+        double cca_threshold_mw = 0.0;  ///< smallest power that reads busy
+        double cca_sample_mw = 0.0;     ///< last CCA-sampled external power
+        reception lock;
+        std::uint32_t audible = 0;  ///< audible frames on air behind ext_mw
+        bool on_air = false;
+        bool cca_busy = false;
     };
+    static_assert(sizeof(node_air) == 64,
+                  "node_air must stay one cache line; rebalance the field "
+                  "layout if you add state");
 
     /// One set_link_gain_db call, keyed by link_key.
     struct link_entry {
@@ -223,7 +248,7 @@ private:
     /// Noise floor plus the clamped incremental sum - the one definition
     /// of external power behind every read (public accessor, CCA
     /// samples, interference subtraction).
-    double external_mw(node_id n) const;
+    double external_mw(const node_air& node) const;
     void end_transmission(node_id src);
 
     static std::uint64_t link_key(node_id a, node_id b) noexcept;
@@ -242,7 +267,11 @@ private:
     const capacity::logistic_per_model& errors_;
     stats::rng rng_;
     std::vector<medium_listener*> listeners_;
-    std::vector<cca_state> cca_;
+    // Per-node slots never reallocate once frames flow: add_node throws
+    // after the freeze, which the first transmission triggers.
+    std::vector<node_air> nodes_;
+    std::vector<double> cca_threshold_dbm_;  ///< as registered, cold
+    std::vector<transmission> slots_;
 
     // Symmetric gains keyed by (min, max) node id, appended per call and
     // sorted lazily (a lookup may come before the freeze, e.g. a
@@ -257,10 +286,6 @@ private:
     std::vector<std::uint32_t> nbr_offset_;
     std::vector<node_id> nbr_id_;
     std::vector<double> nbr_rx_mw_;
-    // Incremental per-node external power (mW, excluding the noise
-    // floor) and the number of active audible transmissions behind it.
-    std::vector<stats::kahan_sum> ext_mw_;
-    std::vector<std::uint32_t> audible_count_;
     int ends_since_refresh_ = 0;
     /// One settled reception, staged so delivery callbacks run after
     /// all lock bookkeeping (they may re-enter start_transmission).
@@ -276,12 +301,6 @@ private:
     double preamble_threshold_mw_ = 0.0;
     double cs_threshold_mw_ = 0.0;
     double capture_ratio_ = 0.0;  ///< preamble_capture_snr_db, linear
-
-    // Per-node slots never reallocate once frames flow: add_node throws
-    // after the freeze, which the first transmission triggers.
-    std::vector<transmission> on_air_;
-    std::vector<std::uint8_t> tx_flag_by_node_; ///< 1 while a node is on air
-    std::vector<std::optional<reception>> lock_by_node_;
     medium_counters counters_;
 };
 

@@ -104,6 +104,11 @@ std::vector<std::pair<node_id, node_id>> audible_link_pairs(
             config.radio.audibility_floor_dbm -
             3.0 * config.radio.fading_sigma_db) *
         (1.0 + 1e-9);
+    // Candidates are compared by squared distance, with no hypot per
+    // pair. The two tests can disagree only within a few ulps of
+    // range_m, inside its 1e-9 margin, where the medium culls the pair
+    // either way.
+    const double range_sq_m2 = range_m * range_m;
     // Spatial grid with cell size = range: all audible partners of a
     // node live in its 3x3 cell neighborhood.
     const auto cell_of = [&](double v) {
@@ -127,7 +132,9 @@ std::vector<std::pair<node_id, node_id>> audible_link_pairs(
                 if (bucket == grid.end()) continue;
                 for (const node_id b : bucket->second) {
                     if (b <= a) continue;
-                    if (distance(nodes[a], nodes[b]) <= range_m) {
+                    const double ex = nodes[a].x - nodes[b].x;
+                    const double ey = nodes[a].y - nodes[b].y;
+                    if (ex * ex + ey * ey <= range_sq_m2) {
                         pairs.emplace_back(a, b);
                     }
                 }

@@ -34,12 +34,6 @@ void require_unsharded(const campaign_options& options, const char* what) {
 }
 }  // namespace detail
 
-std::size_t campaign_shard_count(const campaign_options& options) {
-    options.validate();
-    return (options.replications + options.shard_size - 1) /
-           options.shard_size;
-}
-
 void for_each_shard(
     const campaign_options& options,
     const std::function<void(std::size_t, std::size_t)>& shard_body) {

@@ -90,9 +90,6 @@ namespace detail {
 void require_unsharded(const campaign_options& options, const char* what);
 }  // namespace detail
 
-/// Number of shards the options partition the replications into.
-std::size_t campaign_shard_count(const campaign_options& options);
-
 /// Run `shard_body(begin, end)` over every shard of [0, replications),
 /// sharded across the thread pool. The non-template driver behind the
 /// templates below; exposed for callers that manage their own storage.

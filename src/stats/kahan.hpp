@@ -1,4 +1,4 @@
-// Compensated (Kahan-Neumaier) floating-point accumulation.
+// Compensated floating-point accumulation (Knuth's TwoSum).
 //
 // The packet-level medium keeps a per-node running sum of external
 // power in milliwatts that is incremented on every transmission start
@@ -10,18 +10,22 @@
 // power accounting deterministic-and-accurate enough to replace full
 // re-summation (src/mac/medium.cpp).
 //
+// Each add computes the exact rounding error of `sum + x` with Knuth's
+// TwoSum - six floating-point operations and no comparison - and folds
+// it into the compensation term. value() is NaN once an infinity enters
+// or the sum overflows.
+//
 // Header-only and trivially copyable so it can live in hot per-node
 // arrays.
 #pragma once
 
-#include <cmath>
-
 namespace csense::stats {
 
-/// Neumaier variant of Kahan summation: a running sum plus a running
-/// compensation term. Unlike classic Kahan it stays accurate when the
-/// addend is larger than the sum, which happens constantly when a
-/// nearby transmitter joins a field of weak ones.
+/// Compensated summation: a running sum plus a running compensation
+/// term holding the exact rounding error of every add. Unlike classic
+/// Kahan it stays accurate when the addend is larger than the sum,
+/// which happens constantly when a nearby transmitter joins a field of
+/// weak ones.
 class kahan_sum {
 public:
     constexpr kahan_sum() noexcept = default;
@@ -29,12 +33,10 @@ public:
 
     /// Add `x` (use a negative value to subtract; `sub` reads better).
     void add(double x) noexcept {
+        // TwoSum: t + error == sum_ + x exactly, with no branch.
         const double t = sum_ + x;
-        if (std::abs(sum_) >= std::abs(x)) {
-            compensation_ += (sum_ - t) + x;
-        } else {
-            compensation_ += (x - t) + sum_;
-        }
+        const double x_part = t - sum_;
+        compensation_ += (sum_ - (t - x_part)) + (x - x_part);
         sum_ = t;
     }
 

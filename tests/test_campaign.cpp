@@ -92,21 +92,12 @@ TEST(Campaign, EmptyCampaignIsANoOp) {
 }
 
 TEST(Campaign, RejectsBadOptions) {
-    EXPECT_THROW(campaign_shard_count(options_with(10, 0, 1)),
-                 std::invalid_argument);
     EXPECT_THROW(for_each_shard(options_with(10, 0, 1),
                                 [](std::size_t, std::size_t) {}),
                  std::invalid_argument);
     EXPECT_THROW(for_each_shard(options_with(10, 4, -1),
                                 [](std::size_t, std::size_t) {}),
                  std::invalid_argument);
-}
-
-TEST(Campaign, ShardCountCoversAllReplications) {
-    EXPECT_EQ(campaign_shard_count(options_with(0, 8, 1)), 0u);
-    EXPECT_EQ(campaign_shard_count(options_with(8, 8, 1)), 1u);
-    EXPECT_EQ(campaign_shard_count(options_with(9, 8, 1)), 2u);
-    EXPECT_EQ(campaign_shard_count(options_with(64, 8, 1)), 8u);
 }
 
 TEST(Campaign, ExceptionsPropagateToCaller) {

@@ -6,6 +6,9 @@
 //  - a transmitter abandons any reception in progress, the abandoned
 //    frame is not delivered, and the receiver's lock state resets so it
 //    can lock onto later frames;
+//  - a reception settles at the worst SINR it saw, also when the
+//    interferer behind it left the air long before the locked frame
+//    ended;
 //  - the medium-side energy-detect CCA: listeners hear busy/idle flips
 //    only, a threshold step is judged against the last CCA sample, busy
 //    time follows the sampled power, and a transmitter re-senses after
@@ -158,6 +161,38 @@ TEST(Medium, TransmitterAbandonsReceptionAndLockResets) {
     ASSERT_EQ(b.received.size(), 1u);
     EXPECT_EQ(b.received[0].first, na);
     EXPECT_TRUE(b.received[0].second) << "clean 55 dB SNR frame must decode";
+}
+
+TEST(Medium, ReceptionSettlesAtTheWorstSinrSeen) {
+    // C locks onto D's long 6 Mb/s frame at 25 dB SNR. A's short 54 Mb/s
+    // frame reaches C 10 dB above D's and leaves the air long before
+    // D's frame ends. The reception settles at the worst SINR it saw
+    // (about -10 dB), not at the clean SINR it ends with, so it fails;
+    // without A the same reception decodes.
+    for (const bool with_a : {false, true}) {
+        sim::simulator sim;
+        const radio_config radio;
+        const capacity::logistic_per_model errors;
+        medium air(sim, radio, errors, 11);
+        recorder a, c, d;
+        const auto na = air.add_node(a);
+        const auto nc = air.add_node(c);
+        const auto nd = air.add_node(d);
+        air.set_link_gain_db(nd, nc, -70.0 - radio.tx_power_dbm);
+        air.set_link_gain_db(na, nc, -60.0 - radio.tx_power_dbm);
+        const frame fd = data_frame(nd, 6.0);   // ~1900 us airtime
+        const frame fa = data_frame(na, 54.0);  // ~230 us airtime
+        ASSERT_LT(200.0 + fa.airtime_us(), fd.airtime_us() / 2.0);
+        sim.schedule_in(0.0, [&] { air.start_transmission(nd, fd, true); });
+        if (with_a) {
+            sim.schedule_in(200.0,
+                            [&] { air.start_transmission(na, fa, true); });
+        }
+        sim.run_all();
+        ASSERT_EQ(c.received.size(), 1u) << "with A " << with_a;
+        EXPECT_EQ(c.received[0].first, nd);
+        EXPECT_EQ(c.received[0].second, !with_a) << "with A " << with_a;
+    }
 }
 
 TEST(Medium, AbandonedFrameStillCountsAsInterferenceElsewhere) {
