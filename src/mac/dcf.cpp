@@ -351,6 +351,9 @@ void dcf_node::on_energy_busy(bool busy) {
 }
 
 void dcf_node::on_preamble(sim::time_us until) {
+    // A pure receiver never contends: nothing reads its deferral state,
+    // and the wake-up would pop as a no-op.
+    if (traffic_ == traffic_mode::none) return;
     if (!senses_preambles()) return;  // this radio's CCA ignores preambles
     if (until > hot_->preamble_busy_until) {
         hot_->preamble_busy_until = until;
@@ -360,6 +363,14 @@ void dcf_node::on_preamble(sim::time_us until) {
         // idempotent, so an unconditional wake-up is safe.
         sim_.schedule_at(until, [this] { reevaluate(); });
     }
+}
+
+void dcf_node::defer_for_nav(sim::time_us duration_us) {
+    // Like on_preamble, a pure receiver skips the NAV and its wake-up.
+    if (traffic_ == traffic_mode::none || !sense_enabled()) return;
+    hot_->nav_until = std::max(hot_->nav_until, sim_.now() + duration_us);
+    reevaluate();
+    sim_.schedule_at(hot_->nav_until, [this] { reevaluate(); });
 }
 
 void dcf_node::on_frame_received(const frame& f, bool decoded) {
@@ -391,10 +402,8 @@ void dcf_node::on_frame_received(const frame& f, bool decoded) {
                                 *control_rate_, control_frames::cts_bytes) -
                             ofdm_timing::sifs_us),
                     &node_stats::cts_sent);
-            } else if (!for_me && sense_enabled()) {
-                hot_->nav_until = std::max(hot_->nav_until, sim_.now() + f.nav_duration_us);
-                reevaluate();
-                sim_.schedule_at(hot_->nav_until, [this] { reevaluate(); });
+            } else if (!for_me) {
+                defer_for_nav(f.nav_duration_us);
             }
             break;
         case frame_kind::cts:
@@ -408,10 +417,8 @@ void dcf_node::on_frame_received(const frame& f, bool decoded) {
                         transmit_frame(make_data_frame());
                     }
                 });
-            } else if (!for_me && sense_enabled()) {
-                hot_->nav_until = std::max(hot_->nav_until, sim_.now() + f.nav_duration_us);
-                reevaluate();
-                sim_.schedule_at(hot_->nav_until, [this] { reevaluate(); });
+            } else if (!for_me) {
+                defer_for_nav(f.nav_duration_us);
             }
             break;
         case frame_kind::ack:

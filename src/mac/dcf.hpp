@@ -54,7 +54,8 @@ struct node_stats {
 /// bumping the node's timer generation, and it pops as a no-op. So a
 /// node must outlive every run() of its simulator. mac::network
 /// guarantees this: it owns the simulator, declares it first, and runs
-/// nothing after its nodes die.
+/// nothing after its nodes die. A pure receiver (traffic_mode::none)
+/// never contends, so it schedules no preamble or NAV wake-ups.
 class dcf_node final : public medium_listener {
 public:
     /// Creates the node and registers it with the medium. `hot` points
@@ -150,6 +151,8 @@ private:
     void schedule_next_arrival();
     void on_arrival();
     void start_response_timeout(state waiting_state, sim::time_us timeout);
+    /// Honour the NAV of an overheard RTS or CTS: defer until it ends.
+    void defer_for_nav(sim::time_us duration_us);
     void queue_response(const frame& response,
                         std::uint64_t node_stats::*counter);
     frame make_data_frame();

@@ -38,6 +38,14 @@ double cca_threshold_mw(double threshold_dbm) {
 medium::medium(sim::simulator& sim, radio_config radio,
                const capacity::logistic_per_model& errors, std::uint64_t seed)
     : sim_(sim), radio_(radio), errors_(errors), rng_(seed) {
+    // Negated so that NaN fails too. The after-start event reads the
+    // frame's slot one lag after the start, and every frame outlasts a
+    // slot.
+    if (!(radio_.cca_delay_us >= 0.0 &&
+          radio_.cca_delay_us < capacity::ofdm_timing::slot_us)) {
+        throw std::invalid_argument(
+            "medium: cca_delay_us must lie in [0, slot_us)");
+    }
     // A disabled floor is a floor at -infinity and passes trivially.
     if (radio_.audibility_floor_dbm >= radio_.preamble_threshold_dbm ||
         radio_.audibility_floor_dbm >= radio_.cs_threshold_dbm) {
@@ -65,6 +73,12 @@ void medium::reserve_nodes(std::size_t nodes) {
     nodes_.reserve(nodes);
     cca_threshold_dbm_.reserve(nodes);
     slots_.reserve(nodes);
+}
+
+void medium::reserve_links(std::size_t links) {
+    links_.reserve(links);
+    nbr_id_.reserve(2 * links);
+    nbr_rx_mw_.reserve(2 * links);
 }
 
 node_id medium::add_node(medium_listener& listener) {
@@ -258,22 +272,21 @@ void medium::cca_judge(node_id n) {
     listeners_[n]->on_energy_busy(busy);
 }
 
-void medium::sample_cca_after_delay(node_id src) {
-    // Clear-channel assessment takes time: nodes sample a power change
-    // cca_delay_us after it happens, and see the power as it is *then*.
-    // The stale window is what permits slot collisions. Only src's row
-    // saw any power move; src itself re-senses too (a half-duplex radio
-    // after its own start or end). Samples run in ascending node id:
-    // flips schedule timers, and same-time timers fire in insertion
-    // order, so src takes its sorted place inside its row.
-    sim_.schedule_in(radio_.cca_delay_us, [this, src] {
-        const node_id* first = nbr_id_.data() + nbr_offset_[src];
-        const node_id* last = nbr_id_.data() + nbr_offset_[src + 1];
-        const node_id* split = std::lower_bound(first, last, src);
-        for (const node_id* it = first; it != split; ++it) cca_sample(*it);
-        cca_sample(src);
-        for (const node_id* it = split; it != last; ++it) cca_sample(*it);
-    });
+void medium::sample_row_cca(node_id src) {
+    // Clear-channel assessment takes time: callers run this
+    // cca_delay_us after a start or an end, so nodes see the power as
+    // it is *then*. The stale window is what permits slot collisions.
+    // Only src's row saw any power move; src itself re-senses too (a
+    // half-duplex radio after its own start or end). Samples run in
+    // ascending node id: flips schedule timers, and same-time timers
+    // fire in insertion order, so src takes its sorted place inside its
+    // row.
+    const node_id* first = nbr_id_.data() + nbr_offset_[src];
+    const node_id* last = nbr_id_.data() + nbr_offset_[src + 1];
+    const node_id* split = std::lower_bound(first, last, src);
+    for (const node_id* it = first; it != split; ++it) cca_sample(*it);
+    cca_sample(src);
+    for (const node_id* it = split; it != last; ++it) cca_sample(*it);
 }
 
 void medium::refresh_power_sums() {
@@ -320,6 +333,7 @@ void medium::start_transmission(node_id src, const frame& f,
     t.f = f;
     t.start = now;
     t.end = now + f.airtime_us();
+    t.announce.clear();
     if (radio_.fading_sigma_db > 0.0) {
         // Fade draws only for the audible neighbors, in row (node-id)
         // order, folded straight into the precomputed rx power. The row
@@ -365,12 +379,10 @@ void medium::start_transmission(node_id src, const frame& f,
         const double interference =
             std::max(external - power_mw, min_positive_mw);
         if (power_mw < capture_ratio_ * interference) continue;
-        // The preamble is decodable at this node: announce it (carrier
-        // sense hook) after the CCA lag, and lock if the receiver is free.
-        medium_listener* listener = listeners_[n];
-        const sim::time_us until = t.end;
-        sim_.schedule_in(radio_.cca_delay_us,
-                         [listener, until] { listener->on_preamble(until); });
+        // The preamble is decodable at this node: list it for the
+        // after-start event (carrier sense hook), and lock if the
+        // receiver is free.
+        t.announce.push_back(n);
         if (node.lock.src == no_lock) {
             node.lock = reception{src, power_mw, external};
         }
@@ -383,7 +395,12 @@ void medium::start_transmission(node_id src, const frame& f,
             ++counters_.chain_collisions;
         }
     }
-    sample_cca_after_delay(src);
+    // The after-start event (see the header comment).
+    sim_.schedule_in(radio_.cca_delay_us, [this, src] {
+        const transmission& tx = slots_[src];
+        for (const node_id n : tx.announce) listeners_[n]->on_preamble(tx.end);
+        sample_row_cca(src);
+    });
 
     sim_.schedule_at(t.end, [this, src] { end_transmission(src); });
 }
@@ -437,7 +454,8 @@ void medium::end_transmission(node_id src) {
     for (const auto& d : deliveries) {
         listeners_[d.rx]->on_frame_received(ended, d.decoded);
     }
-    sample_cca_after_delay(src);
+    sim_.schedule_in(radio_.cca_delay_us,
+                     [this, src] { sample_row_cca(src); });
     listeners_[src]->on_tx_complete(ended);
 }
 

@@ -37,6 +37,15 @@
 // transmitter itself (a half-duplex radio re-sensing after its own
 // frame), in ascending node id.
 //
+// A start schedules one kernel event, the after-start event, one CCA
+// lag later: it first announces the frame's decodable preamble
+// (on_preamble) to each neighbor that passed the preamble test, in row
+// order, and then takes the row's CCA sample - the order k + 1
+// same-time events would fire in. The lag is below one slot
+// (radio_config::cca_delay_us, checked at construction) and a frame
+// lasts longer, so the event always finds the frame still on the air.
+// An end schedules its CCA sample alone.
+//
 // Scaling model: link gains go into an append-only table that is
 // sorted once; at the first transmission the topology freezes into
 // per-node audibility neighbor lists (CSR rows, sorted by node id) with
@@ -117,8 +126,9 @@ class medium {
 public:
     /// Throws std::invalid_argument when the audibility floor is enabled
     /// but not below the preamble sensitivity (culling must only drop
-    /// power that is negligible for every CCA and preamble decision).
-    /// `errors` must outlive the medium.
+    /// power that is negligible for every CCA and preamble decision),
+    /// or when radio.cca_delay_us lies outside [0, slot_us) (NaN
+    /// included). `errors` must outlive the medium.
     medium(sim::simulator& sim, radio_config radio,
            const capacity::logistic_per_model& errors, std::uint64_t seed);
 
@@ -133,6 +143,15 @@ public:
     /// Pre-size internal per-node storage for `nodes` registrations.
     /// Purely an allocation hint - results never depend on it.
     void reserve_nodes(std::size_t nodes);
+    /// Pre-size the link table for `links` set_link_gain_db calls and
+    /// the neighbor lists the freeze builds from it (two slots per
+    /// link). Purely an allocation hint - results never depend on it.
+    /// Called before the nodes are added, it allocates the medium's
+    /// largest buffers first, each in one piece, so successive networks
+    /// reuse one another's freed space instead of extending the heap
+    /// whenever a slightly larger table no longer fits between the
+    /// per-node blocks.
+    void reserve_links(std::size_t links);
 
     std::size_t node_count() const noexcept { return listeners_.size(); }
 
@@ -200,6 +219,10 @@ private:
         /// the node. Empty without fading (the frame then reads the
         /// precomputed unfaded row directly).
         std::vector<double> rx_mw;
+        /// The row neighbors that can decode this frame's preamble, in
+        /// row order, announced by the after-start event. Cleared per
+        /// frame; keeps its capacity like rx_mw.
+        std::vector<node_id> announce;
     };
 
     /// reception::src of a node that holds no lock.
@@ -259,8 +282,8 @@ private:
     /// Per-slot rx power (mW) of src's frame on air over its CSR row.
     const double* row_rx_mw(node_id src) const;
     void refresh_power_sums();
-    /// Schedule the CCA sample that follows a start or end by `src`.
-    void sample_cca_after_delay(node_id src);
+    /// The CCA sample that follows a start or an end by `src`.
+    void sample_row_cca(node_id src);
 
     sim::simulator& sim_;
     radio_config radio_;

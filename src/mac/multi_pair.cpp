@@ -173,8 +173,15 @@ multi_pair_result run_multi_pair(const multi_pair_topology& topology,
     // Declared before the network so the raw adapter pointers the nodes
     // hold stay valid for the nodes' whole lifetime.
     std::vector<std::unique_ptr<capacity::rate_adaptation>> adapters;
+    // Only set the gains the floor keeps (every pair without a floor):
+    // the spatial grid finds them in O(N * k) instead of O(N^2). They
+    // are found first so that the medium sizes its link storage before
+    // the nodes exist (see medium::reserve_links).
+    std::vector<std::pair<node_id, node_id>> links =
+        audible_link_pairs(topology, config);
     network net(config.radio, config.seed);
     net.reserve_nodes(2 * n);
+    net.reserve_links(links.size());
     mac_config sender_cfg;
     sender_cfg.sense = config.sense;
     sender_cfg.adapt = config.adapt;  // the per-node adaptation hook
@@ -185,12 +192,12 @@ multi_pair_result run_multi_pair(const multi_pair_topology& topology,
         receivers[i] = net.add_node(receiver_cfg);
     }
 
-    // Only set the gains the floor keeps (every pair without a floor):
-    // the spatial grid finds them in O(N * k) instead of O(N^2).
     const auto nodes = node_positions(topology);
-    for (const auto& [a, b] : audible_link_pairs(topology, config)) {
+    for (const auto& [a, b] : links) {
         net.set_link_gain_db(a, b, config.gain_db(distance(nodes[a], nodes[b])));
     }
+    links.clear();
+    links.shrink_to_fit();  // the medium holds the gains from here on
     for (std::size_t i = 0; i < n; ++i) {
         dcf_node& sender = net.node(senders[i]);
         if (config.unicast) {

@@ -22,6 +22,10 @@ void network::reserve_nodes(std::size_t nodes) {
     medium_->reserve_nodes(nodes);
 }
 
+void network::reserve_links(std::size_t links) {
+    medium_->reserve_links(links);
+}
+
 void network::set_link_gain_db(node_id a, node_id b, double gain_db) {
     medium_->set_link_gain_db(a, b, gain_db);
 }

@@ -28,6 +28,11 @@ public:
     /// on it.
     void reserve_nodes(std::size_t nodes);
 
+    /// Pre-size the medium's link storage for `links` gains (see
+    /// medium::reserve_links). Purely an allocation hint; results never
+    /// depend on it.
+    void reserve_links(std::size_t links);
+
     /// Symmetric link gain in dB between two existing nodes.
     void set_link_gain_db(node_id a, node_id b, double gain_db);
 

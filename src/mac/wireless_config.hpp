@@ -31,7 +31,9 @@ struct radio_config {
     double preamble_capture_snr_db = 4.0;  ///< SINR needed to lock onto a frame
     double cca_delay_us = 4.0;             ///< clear-channel-assessment lag;
                                            ///< the vulnerability window behind
-                                           ///< slot collisions (must be < slot)
+                                           ///< slot collisions; must lie in
+                                           ///< [0, slot_us), or mac::medium
+                                           ///< throws (NaN included)
     double fading_sigma_db = 0.0;          ///< per-packet, per-link wideband
                                            ///< fading residue (lognormal dB)
 

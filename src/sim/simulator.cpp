@@ -16,13 +16,18 @@ constexpr std::uint64_t kCancelCheckMask = (1u << 16) - 1;
 
 }  // namespace
 
+// The negated compares also reject NaN, still with one compare each.
 void simulator::schedule_in(time_us delay, inline_action action) {
-    if (delay < 0.0) throw std::invalid_argument("schedule_in: negative delay");
+    if (!(delay >= 0.0)) {
+        throw std::invalid_argument("schedule_in: negative or NaN delay");
+    }
     queue_.schedule(now_ + delay, std::move(action));
 }
 
 void simulator::schedule_at(time_us at, inline_action action) {
-    if (at < now_) throw std::invalid_argument("schedule_at: time in the past");
+    if (!(at >= now_)) {
+        throw std::invalid_argument("schedule_at: time in the past or NaN");
+    }
     queue_.schedule(at, std::move(action));
 }
 

@@ -31,10 +31,12 @@ public:
 
     /// Schedule an action `delay` microseconds from now (delay >= 0).
     /// Actions are allocation-free inline_actions: captures must fit the
-    /// 64-byte buffer (compile-time checked).
+    /// 64-byte buffer (compile-time checked). Throws
+    /// std::invalid_argument on a negative or NaN delay.
     void schedule_in(time_us delay, inline_action action);
 
-    /// Schedule an action at an absolute time (>= now).
+    /// Schedule an action at an absolute time (>= now). Throws
+    /// std::invalid_argument on a past or NaN time.
     void schedule_at(time_us at, inline_action action);
 
     /// Run events until the queue empties or the clock passes `until`.

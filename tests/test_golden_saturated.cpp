@@ -27,6 +27,18 @@
 //    tab05's entry; camp01 and camp02 stayed byte-identical.
 // If this test fails, the MAC changed the saturated event sequence - a
 // regression, not a baseline to re-record casually.
+//
+// GoldenPacketScenarios pins the packet-level scenarios that document
+// leaves out - camp03-camp06 (adaptive thresholds, the dense culled
+// medium, unsaturated unicast with ARF) and the §4 testbed views
+// fig10-fig13, tab03 and tab04 - in a second document, generated with
+//
+//   CSENSE_FAST=1 csense_bench
+//       --filter 'camp03*,camp04*,camp05*,camp06*,fig10*,fig11*,fig12*,fig13*,tab03*,tab04*'
+//       --seed 7 --no-timings --json golden.json
+//
+// in a fresh working directory. A failure there means the event
+// sequence of one of those runs changed.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -44,28 +56,54 @@ std::string read_file(const std::filesystem::path& path) {
     return buffer.str();
 }
 
-TEST(GoldenSaturated, ByteIdenticalToPreRefactorBinary) {
+/// Run csense_bench in fast mode at seed 7 on `filter`, in a fresh
+/// directory `work_name` under the test temp dir, and return its JSON
+/// without timings.
+std::string run_fast_seed7(const std::string& work_name,
+                           const std::string& filter) {
     const std::filesystem::path work =
-        std::filesystem::path(::testing::TempDir()) / "csense_golden_sat";
+        std::filesystem::path(::testing::TempDir()) / work_name;
     std::filesystem::remove_all(work);
     std::filesystem::create_directories(work);
     const std::filesystem::path out = work / "current.json";
     const std::string command =
         "cd \"" + work.string() + "\" && CSENSE_FAST=1 \"" +
-        CSENSE_BENCH_BINARY +
-        "\" --filter 'camp01*,camp02*,tab05*' --seed 7 --no-timings "
-        "--json \"" +
-        out.string() + "\" > /dev/null";
-    ASSERT_EQ(std::system(command.c_str()), 0);
+        CSENSE_BENCH_BINARY + "\" --filter '" + filter +
+        "' --seed 7 --no-timings --json \"" + out.string() +
+        "\" > /dev/null";
+    EXPECT_EQ(std::system(command.c_str()), 0);
+    return read_file(out);
+}
 
-    const std::string golden = read_file(CSENSE_GOLDEN_JSON);
+std::string read_golden(const std::string& name) {
+    return read_file(std::filesystem::path(CSENSE_GOLDEN_DIR) / name);
+}
+
+TEST(GoldenSaturated, ByteIdenticalToPreRefactorBinary) {
+    const std::string golden = read_golden("saturated_fast_seed7.json");
     ASSERT_FALSE(golden.empty())
-        << "missing golden document: " << CSENSE_GOLDEN_JSON;
-    const std::string current = read_file(out);
+        << "missing golden document saturated_fast_seed7.json";
+    const std::string current =
+        run_fast_seed7("csense_golden_sat", "camp01*,camp02*,tab05*");
     ASSERT_FALSE(current.empty());
     EXPECT_EQ(current, golden)
         << "saturated configs must stay byte-identical to the committed "
            "golden document";
+}
+
+TEST(GoldenPacketScenarios, ByteIdenticalAtSeed7) {
+    const std::string golden =
+        read_golden("packet_scenarios_fast_seed7.json");
+    ASSERT_FALSE(golden.empty())
+        << "missing golden document packet_scenarios_fast_seed7.json";
+    const std::string current = run_fast_seed7(
+        "csense_golden_packet",
+        "camp03*,camp04*,camp05*,camp06*,fig10*,fig11*,fig12*,fig13*,"
+        "tab03*,tab04*");
+    ASSERT_FALSE(current.empty());
+    EXPECT_EQ(current, golden)
+        << "the packet-level scenarios must stay byte-identical to the "
+           "committed golden document: their event sequence changed";
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Packet-level MAC behaviour: saturation throughput, spatial reuse,
 // fairness under mutual carrier sense, collision collapse with CS off
 // (and a CS-off sender that energy flips never delay), hidden
-// terminals and bitrate adaptation, and the §5 pathologies (slot
-// collisions, chain collisions, threshold asymmetry).
+// terminals and bitrate adaptation, the §5 pathologies (slot
+// collisions, chain collisions, threshold asymmetry), and a pure
+// receiver that schedules no deferral wake-ups.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -323,6 +324,34 @@ TEST(Mac, CsOffSenderIgnoresEnergyFlips) {
             << "neighbour at " << start_us << " us";
         EXPECT_EQ(loud.defer_events, 0u) << "neighbour at " << start_us << " us";
     }
+}
+
+TEST(Mac, PureReceiverSchedulesNoWakeUps) {
+    // A node with no traffic never contends, so the preamble and NAV
+    // deferrals it hears change nothing it will do: it must schedule no
+    // wake-ups for them and count no defers.
+    csense::sim::simulator sim;
+    const radio_config radio;
+    const csense::capacity::logistic_per_model errors;
+    medium air(sim, radio, errors, 1);
+    mac_config sensing;
+    sensing.sense = cs_mode::energy_and_preamble;
+    dcf_node receiver(sim, air, sensing, 5);
+    receiver.start();
+
+    receiver.on_preamble(500.0);
+    frame overheard;
+    overheard.src = receiver.id() + 1;
+    overheard.dst = receiver.id() + 2;  // addressed to another node
+    overheard.rate = &rate_by_mbps(6.0);
+    overheard.nav_duration_us = 300.0;
+    for (const frame_kind kind : {frame_kind::rts, frame_kind::cts}) {
+        overheard.kind = kind;
+        receiver.on_frame_received(overheard, true);
+    }
+    sim.run_all();
+    EXPECT_EQ(sim.events_executed(), 0u);
+    EXPECT_EQ(receiver.stats().defer_events, 0u);
 }
 
 TEST(Mac, DeterministicGivenSeed) {

@@ -13,6 +13,8 @@
 //    only, a threshold step is judged against the last CCA sample, busy
 //    time follows the sampled power, and a transmitter re-senses after
 //    its own start;
+//  - one kernel event after a start carries the frame's preamble
+//    announcements, in row order, and then its CCA sample;
 //  - the incremental power sums of the floor-less (exact) medium match
 //    a brute-force re-sum over the active transmitters.
 #include <gtest/gtest.h>
@@ -371,6 +373,77 @@ TEST(MediumCca, TransmitterSamplesItselfAfterItsOwnStart) {
         EXPECT_EQ(tx.flips[0], std::make_pair(10.0 + radio.cca_delay_us, true))
             << "culled " << culled;
     }
+}
+
+/// What a listener heard, and when; kind is 'p' (on_preamble, with
+/// `until`), 'b' (busy flip) or 'i' (idle flip).
+struct heard {
+    sim::time_us at;
+    node_id id;
+    char kind;
+    sim::time_us until;
+
+    bool operator==(const heard&) const = default;
+};
+
+/// Listener that appends its preambles and CCA flips to a shared log.
+struct shared_logger final : medium_listener {
+    shared_logger(const sim::simulator& simulator, std::vector<heard>& log)
+        : simulator(&simulator), log(&log) {}
+
+    const sim::simulator* simulator;
+    std::vector<heard>* log;
+    node_id id = 0;
+
+    void on_energy_busy(bool busy) override {
+        log->push_back({simulator->now(), id, busy ? 'b' : 'i', 0.0});
+    }
+    void on_preamble(sim::time_us until) override {
+        log->push_back({simulator->now(), id, 'p', until});
+    }
+    void on_frame_received(const frame&, bool) override {}
+    void on_tx_complete(const frame&) override {}
+};
+
+TEST(Medium, OneEventCarriesAFramesPreamblesAndItsCcaSample) {
+    // Node 0 sends one 36 us frame to eight listeners at -60 dBm. One
+    // CCA lag after the start, each listener hears the preamble, in
+    // ascending id, and then each flips busy, in ascending id - the
+    // order in which separate same-time events would fire. One lag
+    // after the end each flips idle. The whole frame costs the kernel
+    // three events: the after-start event, the end and the end's CCA
+    // sample.
+    constexpr node_id kListeners = 8;
+    sim::simulator sim;
+    const radio_config radio;
+    const capacity::logistic_per_model errors;
+    medium air(sim, radio, errors, 17);
+    recorder tx;
+    const auto nt = air.add_node(tx);
+    std::vector<heard> log;
+    std::vector<shared_logger> listeners(kListeners,
+                                         shared_logger(sim, log));
+    for (shared_logger& listener : listeners) {
+        listener.id = air.add_node(listener);
+        air.set_link_gain_db(nt, listener.id, -60.0 - radio.tx_power_dbm);
+    }
+    const frame f = data_frame(nt, 54.0, 100);
+    ASSERT_DOUBLE_EQ(f.airtime_us(), 36.0);
+    air.start_transmission(nt, f, true);  // at t = 0
+    sim.run_all();
+
+    const double lag = radio.cca_delay_us;
+    std::vector<heard> expected;
+    for (const char kind : {'p', 'b'}) {
+        for (node_id n = 1; n <= kListeners; ++n) {
+            expected.push_back({lag, n, kind, kind == 'p' ? 36.0 : 0.0});
+        }
+    }
+    for (node_id n = 1; n <= kListeners; ++n) {
+        expected.push_back({36.0 + lag, n, 'i', 0.0});
+    }
+    EXPECT_EQ(log, expected);
+    EXPECT_EQ(sim.events_executed(), 3u);
 }
 
 TEST(MediumExactSums, IncrementalSumsMatchABruteForceReSum) {

@@ -2,8 +2,10 @@
 // topology setup must reproduce the exact (floor-less) medium - exactly
 // where the model says they are exact (sub-floor power treated as
 // zero), and within a tight tolerance on end-to-end metrics over random
-// topologies. Without a floor every set link is audible. Also the
-// unified bounds checking across the medium's public surface.
+// topologies. Without a floor every set link is audible. Neither the
+// order in which links are set nor a link reservation changes the
+// medium. Also the unified bounds checking across the medium's public
+// surface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,6 +91,25 @@ TEST(MediumValidation, AudibilityFloorMustSitBelowCcaThresholds) {
     radio.cs_threshold_dbm = -82.0;
     radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;
     EXPECT_NO_THROW(medium(sim, radio, errors, 1));
+}
+
+TEST(MediumValidation, CcaDelayMustLieWithinOneSlot) {
+    // The after-start event reads the frame's slot one CCA lag after
+    // the start, so the lag must be a real number in [0, slot_us).
+    sim::simulator sim;
+    const capacity::logistic_per_model errors;
+    radio_config radio;
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                             capacity::ofdm_timing::slot_us}) {
+        radio.cca_delay_us = bad;
+        EXPECT_THROW(medium(sim, radio, errors, 1), std::invalid_argument)
+            << "cca_delay_us " << bad;
+    }
+    for (const double good : {0.0, 4.0}) {
+        radio.cca_delay_us = good;
+        EXPECT_NO_THROW(medium(sim, radio, errors, 1))
+            << "cca_delay_us " << good;
+    }
 }
 
 TEST(MediumValidation, AdaptiveClampMustStayAboveTheFloor) {
@@ -185,6 +206,48 @@ TEST(MediumCulling, RepeatedLinkGainKeepsTheLastWrite) {
     EXPECT_EQ(air.neighbor_count(nc), 0u);
     EXPECT_NEAR(air.external_power_dbm(nb), radio.tx_power_dbm - 60.0, 0.01)
         << "the frame must reach b at the last-written gain";
+}
+
+TEST(MediumCulling, LinkOrderAndReservationNeverChangeTheMedium) {
+    // The same gains set in ascending key order into reserved storage
+    // (reserve_links) and in descending order with no reservation build
+    // the same medium: the same neighbor lists, gains and sensed power.
+    constexpr node_id kNodes = 12;
+    radio_config radio;
+    radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;
+    const capacity::logistic_per_model errors;
+    stats::rng gen(21);
+    std::vector<std::pair<node_id, node_id>> links;
+    std::vector<double> gains;
+    for (node_id a = 0; a < kNodes; ++a) {
+        for (node_id b = a + 1; b < kNodes; ++b) {
+            links.emplace_back(a, b);
+            gains.push_back(gen.uniform(-150.0, -50.0));  // some culled
+        }
+    }
+    const auto observe = [&](bool ascending) {
+        sim::simulator sim;
+        medium air(sim, radio, errors, 7);
+        std::vector<recorder> nodes(kNodes);
+        for (recorder& node : nodes) air.add_node(node);
+        if (ascending) air.reserve_links(links.size());
+        for (std::size_t k = 0; k < links.size(); ++k) {
+            const std::size_t i = ascending ? k : links.size() - 1 - k;
+            air.set_link_gain_db(links[i].first, links[i].second, gains[i]);
+        }
+        sim.schedule_in(0.0, [&] {
+            air.start_transmission(0, data_frame(0, 6.0), true);
+        });
+        sim.run_until(10.0);  // the frame is on the air
+        std::vector<double> seen;
+        for (node_id n = 1; n < kNodes; ++n) {
+            seen.push_back(static_cast<double>(air.neighbor_count(n)));
+            seen.push_back(air.link_gain_db(0, n));
+            seen.push_back(air.external_power_dbm(n));
+        }
+        return seen;
+    };
+    EXPECT_EQ(observe(true), observe(false));
 }
 
 TEST(MediumCulling, SubFloorLinksAreCulledAndNeighborsStillServed) {

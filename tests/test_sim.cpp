@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <vector>
 
@@ -154,6 +155,10 @@ TEST(Simulator, RejectsPastScheduling) {
     sim.run_until(5.0);
     EXPECT_THROW(sim.schedule_at(2.0, [] {}), std::invalid_argument);
     EXPECT_THROW(sim.schedule_in(-1.0, [] {}), std::invalid_argument);
+    // A NaN time would poison the clock: rejected too.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(sim.schedule_at(nan, [] {}), std::invalid_argument);
+    EXPECT_THROW(sim.schedule_in(nan, [] {}), std::invalid_argument);
 }
 
 TEST(Simulator, CascadedEventsRunAll) {
@@ -232,8 +237,9 @@ TEST(Allocation, SteadyStateKernelEventsAllocateNothing) {
 /// broadcast run - DCF timers, medium fan-out, frame delivery - counted
 /// after a two-second warm-up. The warm-up puts thousands of frames
 /// through every node's transmission slot, so vector capacities (the
-/// slots' faded rows, the delivery scratch, the queue's slot table and
-/// the per-src stats map) are settled before counting.
+/// slots' faded rows and announce lists, the delivery scratch, the
+/// queue's slot table and the per-src stats map) are settled before
+/// counting.
 std::uint64_t steady_state_mac_allocations(double fading_sigma_db) {
     using namespace csense;
     mac::radio_config radio;
