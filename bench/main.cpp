@@ -6,10 +6,6 @@
 //   csense_bench --list-markdown         emit the docs/scenarios.md
 //                                        catalog (name, description,
 //                                        runtime tier, knobs) to stdout
-//   csense_bench --list-json             emit the same catalog as a
-//                                        csense-bench-catalog/1 JSON
-//                                        document for scripting (CI
-//                                        matrix generation, tooling)
 //   csense_bench                         run everything
 //   csense_bench --filter 'fig*'         run the figure scenarios
 //   csense_bench --filter 'fig*,camp05*' comma-separated glob list:
@@ -118,7 +114,6 @@ constexpr int kExitPartial = 3;
 struct options {
     bool list = false;
     bool list_markdown = false;
-    bool list_json = false;
     bool timings = true;
     std::uint64_t seed = 7;
     int threads = 0;
@@ -135,7 +130,6 @@ struct options {
 void print_usage(std::FILE* out) {
     std::fprintf(out,
                  "usage: csense_bench [--list] [--list-markdown] "
-                 "[--list-json] "
                  "[--filter <glob>] [--seed <n>] [--threads <n>] "
                  "[--repeat <n>] [--json <path>] [--no-timings] "
                  "[--checkpoint <dir>] [--watchdog-ms <n>] "
@@ -156,8 +150,6 @@ bool parse_args(int argc, char** argv, options& opts) {
             opts.list = true;
         } else if (arg == "--list-markdown") {
             opts.list_markdown = true;
-        } else if (arg == "--list-json") {
-            opts.list_json = true;
         } else if (arg == "--filter" || arg == "-f") {
             const char* v = value("--filter");
             if (v == nullptr) return false;
@@ -266,7 +258,7 @@ bool parse_args(int argc, char** argv, options& opts) {
     // are per-process (k processes would each claim repeat-indexed
     // records for the same configuration), so both are usage errors.
     if (opts.shard && opts.checkpoint_dir.empty() && !opts.list &&
-        !opts.list_markdown && !opts.list_json) {
+        !opts.list_markdown) {
         std::fprintf(stderr,
                      "csense_bench: --shard requires --checkpoint (each "
                      "shard persists its slice into its own store)\n");
@@ -448,13 +440,6 @@ int main(int argc, char** argv) {
         // The catalog always covers the whole registry (ignoring
         // --filter) so docs/scenarios.md is complete by construction.
         std::fputs(csense::bench::markdown_catalog().c_str(), stdout);
-        return kExitOk;
-    }
-    if (opts.list_json) {
-        // Whole-registry like --list-markdown: tooling that scripts over
-        // scenarios sees the complete catalog regardless of --filter.
-        std::fputs(csense::bench::json_catalog().c_str(), stdout);
-        std::fputc('\n', stdout);
         return kExitOk;
     }
 

@@ -189,19 +189,19 @@ void bm_event_queue(benchmark::State& state) {
 BENCHMARK(bm_event_queue)->Apply(tune);
 
 void bm_event_rearm(benchmark::State& state) {
-    // The MAC's dominant scheduler pattern at dense-network scale: every
-    // node keeps a backoff/DIFS timer armed, and a channel busy/idle
-    // flip re-arms a whole cohort of them at once, so a camp05/camp06-
-    // sized run holds thousands of pending timers while near-term events
-    // churn. bm_event_queue only drains; this keeps one live timer per
-    // "node" (2000, the camp05 dense sweep's top N), re-arms a cohort per
-    // simulated slot, and measures the arm -> supersede -> re-arm cycle
-    // against that standing population. A re-arm does what
-    // dcf_node::schedule_timer does: it bumps the node's generation and
-    // schedules afresh, and the superseded timer later pops and returns
-    // without acting. The timer closure carries a 32-byte payload, the
-    // size of the DCF's timer dispatch (this + generation +
-    // member-function handler).
+    // The event heap under a standing timer population. bm_event_queue
+    // only drains; this keeps one live timer per "node" (2000, the
+    // camp05 dense sweep's top N), re-arms a cohort of 40 per simulated
+    // slot and pops through run_until's bounded horizon, so every
+    // schedule and pop sifts through about 3,450 pending entries: the
+    // live timers plus superseded ones not yet popped. A re-arm does
+    // what dcf_node::schedule_timer does: it bumps the node's
+    // generation and schedules afresh, and the superseded timer later
+    // pops and returns without acting. The timer closure carries a
+    // 32-byte payload, the size of the DCF's timer dispatch (this +
+    // generation + member-function handler). How much of a dense run's
+    // scheduler time this pattern stands for has not been measured end
+    // to end; perfbench's dense workloads time the real mix.
     constexpr int kNodes = 2000;
     constexpr int kCohort = 40;
     constexpr int kRounds = 1000;

@@ -123,23 +123,6 @@ std::string markdown_catalog() {
     return out;
 }
 
-std::string json_catalog() {
-    report::json_value doc = report::json_value::object();
-    doc["schema"] = "csense-bench-catalog/1";
-    report::json_value entries = report::json_value::array();
-    for (const auto& s : scenarios()) {
-        report::json_value entry = report::json_value::object();
-        entry["name"] = std::string_view(s.name);
-        entry["tier"] = tier_name(s.tier);
-        entry["description"] = std::string_view(s.description);
-        entry["knobs"] = std::string_view(s.knobs);
-        entry["repeatable"] = s.repeatable;
-        entries.push_back(std::move(entry));
-    }
-    doc["scenarios"] = std::move(entries);
-    return doc.dump(2);
-}
-
 bool glob_match(std::string_view pattern, std::string_view text) {
     // Iterative glob with '*' backtracking.
     std::size_t p = 0, t = 0;

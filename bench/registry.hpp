@@ -151,14 +151,6 @@ bool glob_match(std::string_view pattern, std::string_view text);
 /// regenerates the checked-in file; CI diffs it).
 std::string markdown_catalog();
 
-/// Renders the registry as a machine-readable catalog: a
-/// `csense-bench-catalog/1` JSON document with one record per scenario
-/// (name, runtime tier, description, knobs, repeatable). Like the
-/// markdown catalog it always covers the whole registry and is
-/// deterministic byte-for-byte for a fixed registry; `csense_bench
-/// --list-json` prints it for tooling that scripts over scenarios.
-std::string json_catalog();
-
 /// Defines and registers a scenario with catalog metadata. The tier is
 /// a normal expression (qualify it as visibility requires). Usage:
 ///   CSENSE_SCENARIO_EX(fig05_cs_piecewise, "Figure 5 - ...",

@@ -32,18 +32,6 @@ void network::set_link_gain_db(node_id a, node_id b, double gain_db) {
 
 void network::run(sim::time_us duration_us) {
     if (!started_) {
-        // Pick the queue backend for the network's scale before the
-        // first event exists (reconfigure refuses once events are in
-        // flight, e.g. when a test pre-schedules by hand - the default
-        // then stands). Both backends pop in identical order, so this
-        // is a pure wall-clock choice: a binary heap is near-optimal
-        // for the handful of pending events a one- or two-pair run
-        // keeps, while the calendar wheel's O(1) arming wins once
-        // hundreds of nodes hold standing timers.
-        constexpr std::size_t kDenseNodeThreshold = 256;
-        sim_.reconfigure_queue(nodes_.size() >= kDenseNodeThreshold
-                                   ? sim::queue_backend::calendar
-                                   : sim::queue_backend::heap);
         for (auto& node : nodes_) node->start();
         started_ = true;
     }

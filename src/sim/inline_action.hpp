@@ -57,8 +57,9 @@ public:
         static_assert(alignof(callable) <= alignment,
                       "event closure is over-aligned for inline_action");
         static_assert(std::is_nothrow_move_constructible_v<callable>,
-                      "event closures must be nothrow-move-constructible "
-                      "so queue compaction cannot throw");
+                      "event closures must be nothrow-move-constructible: "
+                      "moving an action (slot-table growth, a pop) runs "
+                      "inside noexcept code");
         ::new (static_cast<void*>(storage_)) callable(std::forward<F>(fn));
         invoke_ = [](void* p) { (*static_cast<callable*>(p))(); };
         // Trivially-copyable closures (the common MAC case) keep both

@@ -1,5 +1,6 @@
 #include "src/sim/simulator.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "src/core/parallel.hpp"
@@ -31,10 +32,7 @@ void simulator::schedule_at(time_us at, inline_action action) {
     queue_.schedule(at, std::move(action));
 }
 
-void simulator::run_until(time_us until) {
-    // Fused horizon check + pop: one settle and one top-of-heap
-    // inspection per event instead of the next_time()/pop_next() pair's
-    // two.
+void simulator::drain(time_us until) {
     while (auto next = queue_.pop_next_at_most(until)) {
         now_ = next->first;  // advance the clock before the action runs
         next->second();
@@ -42,18 +40,15 @@ void simulator::run_until(time_us until) {
             core::throw_if_cancelled();
         }
     }
+}
+
+void simulator::run_until(time_us until) {
+    drain(until);
     if (now_ < until) now_ = until;
 }
 
 void simulator::run_all() {
-    while (!queue_.empty()) {
-        auto [at, action] = queue_.pop_next();
-        now_ = at;
-        action();
-        if ((++executed_ & kCancelCheckMask) == 0) {
-            core::throw_if_cancelled();
-        }
-    }
+    drain(std::numeric_limits<time_us>::infinity());
 }
 
 }  // namespace csense::sim

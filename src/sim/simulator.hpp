@@ -13,19 +13,6 @@ namespace csense::sim {
 /// Discrete-event simulator kernel.
 class simulator {
 public:
-    /// Both queue backends produce identical event order.
-    explicit simulator(queue_backend backend = queue_backend::calendar)
-        : queue_(backend) {}
-
-    /// Re-select the queue backend before the first event is scheduled;
-    /// no-op (returns false) once events are in flight. Owners that
-    /// learn their scale late use this: a binary heap is near-optimal
-    /// for a handful of pending events, the calendar wheel wins once
-    /// thousands of timers stand concurrently.
-    bool reconfigure_queue(queue_backend backend) {
-        return queue_.reconfigure(backend);
-    }
-
     /// Current simulation time (us).
     time_us now() const noexcept { return now_; }
 
@@ -50,6 +37,10 @@ public:
     std::uint64_t events_executed() const noexcept { return executed_; }
 
 private:
+    /// Pop and run every event at or before `until`, advancing the
+    /// clock to each event's time before its action runs.
+    void drain(time_us until);
+
     event_queue queue_;
     time_us now_ = 0.0;
     std::uint64_t executed_ = 0;

@@ -273,62 +273,6 @@ TEST(BenchDeterminism, MarkdownCatalogIsStableAndComplete) {
     EXPECT_GE(scenarios, 33);
 }
 
-TEST(BenchDeterminism, JsonCatalogIsStableAndComplete) {
-    // --list-json is the machine-readable twin of --list-markdown: the
-    // same whole-registry catalog as a csense-bench-catalog/1 document.
-    // Two invocations must be byte-identical, and every scenario must
-    // appear with a name and a recognised tier.
-    const std::string dir = ::testing::TempDir();
-    const std::string a = dir + "csense_catalog_a.json";
-    const std::string b = dir + "csense_catalog_b.json";
-    ASSERT_EQ(std::system((std::string("\"") + CSENSE_BENCH_BINARY +
-                           "\" --list-json > \"" + a + "\"")
-                              .c_str()),
-              0);
-    ASSERT_EQ(std::system((std::string("\"") + CSENSE_BENCH_BINARY +
-                           "\" --list-json > \"" + b + "\"")
-                              .c_str()),
-              0);
-    const std::string catalog = read_file(a);
-    ASSERT_FALSE(catalog.empty());
-    EXPECT_EQ(catalog, read_file(b)) << "--list-json must be stable";
-    EXPECT_NE(catalog.find("\"schema\": \"csense-bench-catalog/1\""),
-              std::string::npos);
-    // Spot-check entries across tiers, including the new campaign.
-    EXPECT_NE(catalog.find("\"name\": \"camp06_unsaturated_load\""),
-              std::string::npos);
-    EXPECT_NE(catalog.find("\"name\": \"camp05_dense_network\""),
-              std::string::npos);
-    EXPECT_NE(catalog.find("\"tier\": \"heavy\""), std::string::npos);
-    EXPECT_NE(catalog.find("\"tier\": \"slow\""), std::string::npos);
-    EXPECT_NE(catalog.find("CSENSE_CAMP06_NMAX"), std::string::npos)
-        << "knobs must ride along in the JSON catalog";
-
-    // Same scenario count as --list: the catalog covers the registry.
-    const std::string list = dir + "csense_catalog_list.txt";
-    ASSERT_EQ(std::system((std::string("\"") + CSENSE_BENCH_BINARY +
-                           "\" --list > \"" + list + "\"")
-                              .c_str()),
-              0);
-    std::istringstream lines(read_file(list));
-    std::string line;
-    int scenarios = 0;
-    while (std::getline(lines, line)) {
-        if (line.empty() || line[0] == '(') continue;
-        const std::string name = line.substr(0, line.find(' '));
-        ++scenarios;
-        EXPECT_NE(catalog.find("\"name\": \"" + name + "\""),
-                  std::string::npos)
-            << "scenario missing from the JSON catalog: " << name;
-    }
-    std::size_t names = 0;
-    for (std::size_t pos = catalog.find("\"name\":"); pos != std::string::npos;
-         pos = catalog.find("\"name\":", pos + 1)) {
-        ++names;
-    }
-    EXPECT_EQ(names, static_cast<std::size_t>(scenarios));
-}
-
 TEST(BenchDeterminism, DifferentSeedChangesMonteCarloMetrics) {
     const std::string dir = ::testing::TempDir();
     const std::string a = dir + "csense_bench_det_s1.json";

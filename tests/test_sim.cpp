@@ -1,8 +1,11 @@
-// Discrete-event kernel: ordering, ties, the bounded-horizon pop, the
-// clock-before-action contract (regression test for scheduling relative
-// to a stale clock), and the allocation-free hot-path guarantee.
+// Discrete-event kernel: ordering, ties, extreme times, the
+// bounded-horizon pop, the clock-before-action contract (regression test
+// for scheduling relative to a stale clock), and the allocation-free
+// hot-path guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -60,13 +63,22 @@ namespace {
 
 using namespace csense::sim;
 
+/// Pop and run the earliest event; returns its time. Throws
+/// std::bad_optional_access when the queue is empty.
+time_us run_next(event_queue& q) {
+    auto [at, action] =
+        q.pop_next_at_most(std::numeric_limits<time_us>::infinity()).value();
+    action();
+    return at;
+}
+
 TEST(EventQueue, OrdersByTime) {
     event_queue q;
     std::vector<int> order;
     q.schedule(30.0, [&] { order.push_back(3); });
     q.schedule(10.0, [&] { order.push_back(1); });
     q.schedule(20.0, [&] { order.push_back(2); });
-    while (!q.empty()) q.run_next();
+    while (!q.empty()) run_next(q);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -76,7 +88,7 @@ TEST(EventQueue, TiesFireInInsertionOrder) {
     for (int i = 0; i < 10; ++i) {
         q.schedule(5.0, [&order, i] { order.push_back(i); });
     }
-    while (!q.empty()) q.run_next();
+    while (!q.empty()) run_next(q);
     for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -85,22 +97,88 @@ TEST(EventQueue, SizeTracksPending) {
     q.schedule(1.0, [] {});
     q.schedule(2.0, [] {});
     EXPECT_EQ(q.size(), 2u);
-    q.run_next();
+    run_next(q);
     EXPECT_EQ(q.size(), 1u);
-    q.run_next();
+    run_next(q);
     EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(EventQueue, ErrorsWhenEmpty) {
+TEST(EventQueue, SameTimeBurstPopsInInsertionOrder) {
     event_queue q;
-    EXPECT_THROW(q.next_time(), std::logic_error);
-    EXPECT_THROW(q.run_next(), std::logic_error);
+    std::vector<int> order;
+    // 100 events at one timestamp, interleaved with events just before
+    // and after it.
+    const double t = 9000.0;
+    for (int i = 0; i < 100; ++i) {
+        q.schedule(t, [&order, i] { order.push_back(i); });
+    }
+    q.schedule(t - 0.5, [&order] { order.push_back(-1); });
+    q.schedule(t + 9.0, [&order] { order.push_back(1000); });
+    q.schedule(std::nextafter(t, 0.0), [&order] { order.push_back(-2); });
+    while (!q.empty()) run_next(q);
+    ASSERT_EQ(order.size(), 103u);
+    EXPECT_EQ(order[0], -1);  // earlier times first...
+    EXPECT_EQ(order[1], -2);  // ...in time order, not insertion order
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(order[static_cast<std::size_t>(i) + 2], i);
+    }
+    EXPECT_EQ(order.back(), 1000);
+}
+
+TEST(EventQueue, NegativeAndHugeTimesStayOrdered) {
+    event_queue q;
+    std::vector<double> fired;
+    const auto record = [&fired, &q](double at) {
+        q.schedule(at, [&fired, at] { fired.push_back(at); });
+    };
+    record(-50.0);
+    record(1e17);
+    record(0.0);
+    record(3.0);
+    record(1e16);
+    record(-50.0);
+    while (!q.empty()) run_next(q);
+    const std::vector<double> want{-50.0, -50.0, 0.0, 3.0, 1e16, 1e17};
+    EXPECT_EQ(fired, want);
+}
+
+TEST(EventQueue, FarEventFiresOnTimeAmidNearChurn) {
+    // One event 50 ms out, while a driver event reschedules itself every
+    // 7 us from t = 7 us to well past it, so thousands of near events
+    // are scheduled and popped around the far one.
+    event_queue q;
+    std::vector<double> fired;
+    const double far_at = 50'000.0;
+    q.schedule(far_at, [&fired, far_at] { fired.push_back(far_at); });
+
+    struct driver {
+        event_queue* q;
+        std::vector<double>* fired;
+        double at;
+        void operator()() const {
+            fired->push_back(at);
+            if (at < 63'000.0) {
+                driver next{q, fired, at + 7.0};
+                q->schedule(next.at, next);
+            }
+        }
+    };
+    q.schedule(7.0, driver{&q, &fired, 7.0});
+
+    while (!q.empty()) run_next(q);
+    ASSERT_FALSE(fired.empty());
+    // Pop times must be globally nondecreasing - the far event fired in
+    // place, not late.
+    for (std::size_t i = 1; i < fired.size(); ++i) {
+        ASSERT_LE(fired[i - 1], fired[i]) << "out of order at " << i;
+    }
+    ASSERT_NE(std::find(fired.begin(), fired.end(), far_at), fired.end());
 }
 
 TEST(EventQueue, PopNextAtMostRespectsHorizon) {
-    // The fused horizon check + pop behind simulator::run_until: it must
-    // refuse events beyond the horizon and pop in the same (time,
-    // insertion) order as next_time()/pop_next().
+    // The queue's one pop, behind simulator::run_until: it must refuse
+    // events beyond the horizon and include events at exactly the
+    // horizon.
     event_queue q;
     EXPECT_FALSE(q.pop_next_at_most(100.0).has_value());
     q.schedule(1.0, [] {});
@@ -185,7 +263,7 @@ TEST(EventQueue, BoundedMemoryOverLongRuns) {
         for (int i = 0; i < 8; ++i) {
             q.schedule(t + i, [&fired] { ++fired; });
         }
-        while (!q.empty()) t = q.run_next();
+        while (!q.empty()) t = run_next(q);
         t += 1.0;
     }
     EXPECT_EQ(fired, 1'000'000u);
@@ -193,10 +271,10 @@ TEST(EventQueue, BoundedMemoryOverLongRuns) {
 }
 
 TEST(Allocation, SteadyStateKernelEventsAllocateNothing) {
-    // The tentpole contract: once the slot table and wheel buckets hit
-    // their high-water marks, scheduling and popping events must not
-    // touch the heap at all (inline_action holds closures in-object; the
-    // queue recycles slots and bucket storage).
+    // Once the event heap, the slot table and its free list hit their
+    // high-water marks, scheduling and popping events must not touch the
+    // allocator at all (inline_action holds closures in-object; the
+    // queue recycles slots).
 #if !CSENSE_ALLOC_HOOK
     GTEST_SKIP() << "allocator hook disabled under sanitizers";
 #else
@@ -205,8 +283,8 @@ TEST(Allocation, SteadyStateKernelEventsAllocateNothing) {
     std::uint64_t generation = 0;
     // Each step re-arms a 40 ms timeout the MAC's way: bump the
     // generation and schedule afresh, so every superseded timeout later
-    // pops as a no-op. 40 ms lies beyond the wheel's ~37 ms horizon, so
-    // the timeouts route through the far heap.
+    // pops as a no-op. About 4,400 timeouts stand at once, so every
+    // schedule and pop sifts through a deep heap.
     const auto step = [&sim, &fired, &generation](int i) {
         const std::uint64_t armed = ++generation;
         sim.schedule_in(40'000.0 + (i % 7) * 9.0,
@@ -216,11 +294,11 @@ TEST(Allocation, SteadyStateKernelEventsAllocateNothing) {
         sim.schedule_in(9.0, [&fired] { ++fired; });
         sim.run_until(sim.now() + 9.0);
     };
-    // Warm up for two ~90 ms passes: reach the pending high-water mark
-    // and touch every wheel bucket (> two rotations of the 4096 x 9 us
-    // wheel). One pass is not enough: the (i % 7) phase jump between
-    // passes fills one bucket fuller than any bucket inside a pass, and
-    // the near heap and the slot free list grow to hold it.
+    // Warm up for two ~90 ms passes; the counted pass then repeats the
+    // second one event for event. One pass is not enough: 40 ms after
+    // the (i % 7) phase jump between passes, timeouts armed on both
+    // sides of it come due in one 9 us step, more at once than anywhere
+    // inside a pass, and the slot free list grows to hold them.
     for (int pass = 0; pass < 2; ++pass) {
         for (int i = 0; i < 10'000; ++i) step(i);
     }
