@@ -13,16 +13,14 @@ constexpr sim::time_us timeout_margin_us = 10.0;
 }  // namespace
 
 dcf_node::dcf_node(sim::simulator& sim, medium& med, mac_config config,
-                   std::uint64_t seed, dcf_hot_state* hot)
-    : sim_(sim), medium_(med), config_(config),
+                   std::uint64_t seed)
+    : sim_(sim), medium_(med), cw_(config.cw_min), config_(config),
       id_(med.add_node(*this, med.radio().cs_threshold_dbm +
                                   config.cs_threshold_offset_db)),
-      rng_(seed), control_rate_(&capacity::rate_by_mbps(6.0)),
-      hot_(hot != nullptr ? hot : &own_hot_) {
+      rng_(seed), control_rate_(&capacity::rate_by_mbps(6.0)) {
     if (config_.cw_min < 1 || config_.cw_max < config_.cw_min) {
         throw std::invalid_argument("dcf_node: bad contention window");
     }
-    hot_->cw = config_.cw_min;
 }
 
 void dcf_node::set_traffic(traffic_mode mode, node_id destination,
@@ -38,8 +36,10 @@ void dcf_node::set_traffic_model(const traffic_config& config) {
     if (config.queue_capacity < 0) {
         throw std::invalid_argument("dcf_node: queue_capacity");
     }
+    if (!config.saturated() && !(config.offered_load_pps > 0.0)) {
+        throw std::invalid_argument("dcf_node: offered_load_pps must be > 0");
+    }
     traffic_model_ = config;
-    source_ = make_traffic_source(config);  // validates the rate knobs
 }
 
 void dcf_node::set_rate_adaptation(capacity::rate_adaptation* adapter) {
@@ -48,32 +48,33 @@ void dcf_node::set_rate_adaptation(capacity::rate_adaptation* adapter) {
 
 void dcf_node::start() {
     if (traffic_ == traffic_mode::none) return;
-    if (source_ == nullptr) {
+    if (traffic_model_.saturated()) {
         // The historical always-backlogged path: refill inline, no
         // arrival events — byte-identical to the pre-queue MAC.
-        hot_->state = state::contending;
+        state_ = state::contending;
         new_packet();
         head_enqueued_us_ = sim_.now();
         reevaluate();
         return;
     }
     // The arrival stream is a split child of the node RNG: deriving it
-    // consumes no draws, so installing an unsaturated source on one node
-    // cannot perturb any other node's backoff sequence.
+    // consumes no draws, so giving one node Poisson traffic cannot
+    // perturb any node's backoff sequence.
     arrival_rng_ = rng_.split("traffic");
     schedule_next_arrival();
 }
 
 void dcf_node::schedule_next_arrival() {
-    const sim::time_us gap = source_->next_interarrival_us(arrival_rng_);
+    const sim::time_us gap =
+        arrival_rng_.exponential(traffic_model_.offered_load_pps / 1e6);
     sim_.schedule_in(gap, [this] { on_arrival(); });
 }
 
 void dcf_node::on_arrival() {
     ++stats_.offered_packets;
-    if (!hot_->have_packet) {
+    if (!have_packet_) {
         head_enqueued_us_ = sim_.now();
-        hot_->state = state::contending;
+        state_ = state::contending;
         new_packet();
         reevaluate();
     } else if (queue_.size() <
@@ -107,41 +108,41 @@ bool dcf_node::rts_active() const {
 bool dcf_node::channel_busy() const {
     if (!sense_enabled()) return false;
     const sim::time_us now = sim_.now();
-    if (now < hot_->nav_until) return true;
-    if (senses_energy() && hot_->energy_busy) return true;
-    return senses_preambles() && now < hot_->preamble_busy_until;
+    if (now < nav_until_) return true;
+    if (senses_energy() && energy_busy_) return true;
+    return senses_preambles() && now < preamble_busy_until_;
 }
 
 void dcf_node::cancel_timer() {
-    ++hot_->timer_generation;
-    hot_->difs_done = false;
+    ++timer_generation_;
+    difs_done_ = false;
 }
 
 void dcf_node::schedule_timer(sim::time_us delay,
                               void (dcf_node::*handler)()) {
-    const std::uint64_t generation = ++hot_->timer_generation;
+    const std::uint64_t generation = ++timer_generation_;
     sim_.schedule_in(delay, [this, generation, handler] {
-        if (generation == hot_->timer_generation) (this->*handler)();
+        if (generation == timer_generation_) (this->*handler)();
     });
 }
 
 void dcf_node::reevaluate() {
-    if (hot_->state != state::contending || !hot_->have_packet) return;
+    if (state_ != state::contending || !have_packet_) return;
     if (channel_busy()) {
         cancel_timer();
         return;
     }
     if (medium_.transmitting(id_)) return;  // a response frame is on the air
-    if (!hot_->difs_done) {
+    if (!difs_done_) {
         schedule_timer(ofdm_timing::difs_us, &dcf_node::on_difs_end);
     }
 }
 
 void dcf_node::on_difs_end() {
-    if (hot_->state != state::contending || channel_busy()) return;
+    if (state_ != state::contending || channel_busy()) return;
     if (medium_.transmitting(id_)) return;  // response frame on the air
-    hot_->difs_done = true;
-    if (hot_->slots_left == 0) {
+    difs_done_ = true;
+    if (slots_left_ == 0) {
         begin_transmission();
         return;
     }
@@ -149,9 +150,9 @@ void dcf_node::on_difs_end() {
 }
 
 void dcf_node::on_slot() {
-    if (hot_->state != state::contending || channel_busy()) return;
+    if (state_ != state::contending || channel_busy()) return;
     if (medium_.transmitting(id_)) return;  // response frame on the air
-    if (--hot_->slots_left <= 0) {
+    if (--slots_left_ <= 0) {
         begin_transmission();
         return;
     }
@@ -207,47 +208,47 @@ const capacity::phy_rate& dcf_node::current_data_rate() {
 }
 
 void dcf_node::new_packet() {
-    hot_->have_packet = true;
-    hot_->retries = 0;
-    hot_->cw = config_.cw_min;
+    have_packet_ = true;
+    retries_ = 0;
+    cw_ = config_.cw_min;
     ++frame_sequence_;
     packet_rate_ = &current_data_rate();
-    hot_->slots_left = static_cast<int>(rng_.uniform_int(
-        static_cast<std::uint64_t>(hot_->cw) + 1));
-    hot_->difs_done = false;
+    slots_left_ = static_cast<int>(rng_.uniform_int(
+        static_cast<std::uint64_t>(cw_) + 1));
+    difs_done_ = false;
 }
 
 void dcf_node::retry_packet() {
-    ++hot_->retries;
-    if (hot_->retries > config_.retry_limit) {
+    ++retries_;
+    if (retries_ > config_.retry_limit) {
         ++stats_.data_dropped;
         packet_done(false);
         return;
     }
-    hot_->cw = std::min(2 * (hot_->cw + 1) - 1, config_.cw_max);
-    hot_->slots_left = static_cast<int>(rng_.uniform_int(
-        static_cast<std::uint64_t>(hot_->cw) + 1));
-    hot_->difs_done = false;
+    cw_ = std::min(2 * (cw_ + 1) - 1, config_.cw_max);
+    slots_left_ = static_cast<int>(rng_.uniform_int(
+        static_cast<std::uint64_t>(cw_) + 1));
+    difs_done_ = false;
     packet_rate_ = &current_data_rate();  // adaptation may back off the rate
-    hot_->state = state::contending;
+    state_ = state::contending;
     reevaluate();
 }
 
 void dcf_node::packet_done(bool delivered) {
-    if (delivered && hot_->have_packet) {
+    if (delivered && have_packet_) {
         sojourn_.add(sim_.now() - head_enqueued_us_);
     }
-    hot_->have_packet = false;
-    hot_->state = state::contending;
+    have_packet_ = false;
+    state_ = state::contending;
     if (traffic_ == traffic_mode::none) return;
-    if (source_ == nullptr) {
+    if (traffic_model_.saturated()) {
         new_packet();  // saturated traffic always has a next packet
         head_enqueued_us_ = sim_.now();
         reevaluate();
         return;
     }
     if (queue_.empty()) {
-        hot_->state = state::idle;  // drained; the next arrival restarts us
+        state_ = state::idle;  // drained; the next arrival restarts us
         return;
     }
     head_enqueued_us_ = queue_.front();
@@ -270,17 +271,17 @@ void dcf_node::begin_transmission() {
 }
 
 void dcf_node::transmit_frame(const frame& f) {
-    hot_->state = state::transmitting;
+    state_ = state::transmitting;
     medium_.start_transmission(id_, f, sense_enabled());
 }
 
 void dcf_node::start_response_timeout(state waiting_state,
                                       sim::time_us timeout) {
-    hot_->state = waiting_state;
-    const std::uint64_t generation = ++hot_->timer_generation;
+    state_ = waiting_state;
+    const std::uint64_t generation = ++timer_generation_;
     sim_.schedule_in(timeout, [this, generation] {
-        if (generation != hot_->timer_generation) return;
-        if (hot_->state == state::awaiting_cts || hot_->state == state::awaiting_ack) {
+        if (generation != timer_generation_) return;
+        if (state_ == state::awaiting_cts || state_ == state::awaiting_ack) {
             note_unicast_outcome(false);
             retry_packet();
         }
@@ -329,22 +330,22 @@ void dcf_node::set_cs_threshold_dbm(double threshold_dbm) {
 }
 
 sim::time_us dcf_node::energy_busy_time_us() const {
-    return hot_->busy_accum_us + (hot_->energy_busy ? sim_.now() - hot_->busy_since : 0.0);
+    return busy_accum_us_ + (energy_busy_ ? sim_.now() - busy_since_ : 0.0);
 }
 
 void dcf_node::on_energy_busy(bool busy) {
     const sim::time_us now = sim_.now();
     if (busy) {
-        hot_->busy_since = now;
+        busy_since_ = now;
     } else {
-        hot_->busy_accum_us += now - hot_->busy_since;
+        busy_accum_us_ += now - busy_since_;
     }
-    hot_->energy_busy = busy;
+    energy_busy_ = busy;
     // Busy time counts for every node, but only energy sensing defers
     // on it: elsewhere a flip changes no decision, and re-evaluating
     // would restart a running DIFS.
     if (!senses_energy()) return;
-    if (busy && hot_->state == state::contending && hot_->difs_done) {
+    if (busy && state_ == state::contending && difs_done_) {
         ++stats_.defer_events;
     }
     reevaluate();
@@ -355,9 +356,9 @@ void dcf_node::on_preamble(sim::time_us until) {
     // and the wake-up would pop as a no-op.
     if (traffic_ == traffic_mode::none) return;
     if (!senses_preambles()) return;  // this radio's CCA ignores preambles
-    if (until > hot_->preamble_busy_until) {
-        hot_->preamble_busy_until = until;
-        if (hot_->state == state::contending && hot_->difs_done) ++stats_.defer_events;
+    if (until > preamble_busy_until_) {
+        preamble_busy_until_ = until;
+        if (state_ == state::contending && difs_done_) ++stats_.defer_events;
         reevaluate();
         // Wake up when the frame ends to resume contention; reevaluate is
         // idempotent, so an unconditional wake-up is safe.
@@ -368,9 +369,9 @@ void dcf_node::on_preamble(sim::time_us until) {
 void dcf_node::defer_for_nav(sim::time_us duration_us) {
     // Like on_preamble, a pure receiver skips the NAV and its wake-up.
     if (traffic_ == traffic_mode::none || !sense_enabled()) return;
-    hot_->nav_until = std::max(hot_->nav_until, sim_.now() + duration_us);
+    nav_until_ = std::max(nav_until_, sim_.now() + duration_us);
     reevaluate();
-    sim_.schedule_at(hot_->nav_until, [this] { reevaluate(); });
+    sim_.schedule_at(nav_until_, [this] { reevaluate(); });
 }
 
 void dcf_node::on_frame_received(const frame& f, bool decoded) {
@@ -407,12 +408,12 @@ void dcf_node::on_frame_received(const frame& f, bool decoded) {
             }
             break;
         case frame_kind::cts:
-            if (for_me && hot_->state == state::awaiting_cts) {
+            if (for_me && state_ == state::awaiting_cts) {
                 // Protected: send the data frame after SIFS.
-                ++hot_->timer_generation;  // retire the CTS timeout
-                hot_->state = state::responding;
+                ++timer_generation_;  // retire the CTS timeout
+                state_ = state::responding;
                 sim_.schedule_in(ofdm_timing::sifs_us, [this] {
-                    if (hot_->state == state::responding &&
+                    if (state_ == state::responding &&
                         !medium_.transmitting(id_)) {
                         transmit_frame(make_data_frame());
                     }
@@ -422,8 +423,8 @@ void dcf_node::on_frame_received(const frame& f, bool decoded) {
             }
             break;
         case frame_kind::ack:
-            if (for_me && hot_->state == state::awaiting_ack) {
-                ++hot_->timer_generation;  // retire the ACK timeout
+            if (for_me && state_ == state::awaiting_ack) {
+                ++timer_generation_;  // retire the ACK timeout
                 ++stats_.data_acked;
                 note_unicast_outcome(true);
                 packet_done(true);
@@ -459,8 +460,8 @@ void dcf_node::on_tx_complete(const frame& f) {
         case frame_kind::cts:
         case frame_kind::ack:
             // Response sent; resume our own contention if any.
-            if (hot_->state == state::contending && hot_->have_packet) {
-                hot_->difs_done = false;
+            if (state_ == state::contending && have_packet_) {
+                difs_done_ = false;
                 reevaluate();
             }
             break;

@@ -8,13 +8,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 
 #include "src/capacity/rate_adaptation.hpp"
 #include "src/mac/medium.hpp"
-#include "src/mac/node_state.hpp"
-#include "src/mac/traffic.hpp"
 #include "src/mac/wireless_config.hpp"
 #include "src/stats/quantile.hpp"
 
@@ -34,8 +31,8 @@ struct node_stats {
     std::uint64_t data_sent = 0;       ///< data frames put on the air
     std::uint64_t data_acked = 0;      ///< unicast frames acknowledged
     std::uint64_t data_dropped = 0;    ///< unicast frames over retry limit
-    std::uint64_t offered_packets = 0; ///< arrivals presented by an
-                                       ///< unsaturated traffic source
+    std::uint64_t offered_packets = 0; ///< Poisson arrivals offered
+                                       ///< to the node
     std::uint64_t queue_drops = 0;     ///< arrivals lost to a full FIFO
     std::uint64_t rts_sent = 0;
     std::uint64_t cts_sent = 0;
@@ -58,12 +55,9 @@ struct node_stats {
 /// never contends, so it schedules no preamble or NAV wake-ups.
 class dcf_node final : public medium_listener {
 public:
-    /// Creates the node and registers it with the medium. `hot` points
-    /// this node's per-event state at a pool-owned cache-line block
-    /// (see node_state_pool); when null the node carries its own block,
-    /// so standalone construction keeps working.
+    /// Creates the node and registers it with the medium.
     dcf_node(sim::simulator& sim, medium& med, mac_config config,
-             std::uint64_t seed, dcf_hot_state* hot = nullptr);
+             std::uint64_t seed);
 
     node_id id() const noexcept { return id_; }
     const node_stats& stats() const noexcept { return stats_; }
@@ -77,15 +71,16 @@ public:
                      const capacity::phy_rate& rate, int payload_bytes);
 
     /// Configure the arrival process and queue capacity. Must be called
-    /// before the simulation starts; unsaturated arrivals draw from the
-    /// node's split "traffic" RNG stream, so the arrival sequence
-    /// depends only on the node seed and this config.
+    /// before the simulation starts; Poisson gaps draw from the node's
+    /// split "traffic" RNG stream, so the arrival sequence depends only
+    /// on the node seed and this config. Throws std::invalid_argument on
+    /// a negative queue capacity or a Poisson load that is not > 0.
     void set_traffic_model(const traffic_config& config);
 
     /// Enqueue->delivery sojourn times (us) of every delivered packet:
     /// queueing wait + contention + retries until the frame left the air
-    /// (broadcast) or was acknowledged (unicast). Saturated sources
-    /// record pure service times (they never wait in a queue).
+    /// (broadcast) or was acknowledged (unicast). Saturated traffic
+    /// records pure service times (its packets never wait in a queue).
     const stats::streaming_quantiles& sojourn_times() const noexcept {
         return sojourn_;
     }
@@ -130,9 +125,15 @@ public:
     void on_tx_complete(const frame& f) override;
 
 private:
-    /// FSM states live in node_state.hpp (the hot block stores one);
-    /// the alias keeps every `state::...` reference below unchanged.
-    using state = dcf_state;
+    /// DCF station FSM state.
+    enum class state : std::uint8_t {
+        idle,          ///< no packet (traffic_mode::none or drained queue)
+        contending,    ///< waiting for DIFS + backoff
+        transmitting,  ///< own frame on the air
+        awaiting_cts,
+        awaiting_ack,
+        responding,    ///< SIFS gap before CTS/ACK/data-after-CTS
+    };
 
     bool sense_enabled() const noexcept;
     bool senses_energy() const noexcept;
@@ -164,6 +165,24 @@ private:
 
     sim::simulator& sim_;
     medium& medium_;
+
+    // Per-event state (channel sense, contention, timer generation);
+    // everything after it is touched per packet or per epoch, not per
+    // event. The sensed power itself lives in the medium, which owns
+    // the CCA decision and reports only busy/idle flips.
+    sim::time_us preamble_busy_until_ = 0.0;
+    sim::time_us nav_until_ = 0.0;
+    sim::time_us busy_since_ = 0.0;
+    sim::time_us busy_accum_us_ = 0.0;
+    std::uint64_t timer_generation_ = 0;
+    int slots_left_ = 0;
+    int cw_;
+    int retries_ = 0;
+    state state_ = state::idle;
+    bool energy_busy_ = false;
+    bool have_packet_ = false;
+    bool difs_done_ = false;
+
     mac_config config_;
     node_id id_;
     stats::rng rng_;
@@ -177,23 +196,15 @@ private:
     int payload_bytes_ = 1400;
     capacity::rate_adaptation* adaptation_ = nullptr;
 
-    // Arrival process + FIFO queue. A null source is saturated traffic:
-    // the node refills inline instead of queueing arrivals.
+    // Arrival process + FIFO queue. Saturated traffic has no arrivals:
+    // the node refills inline instead of queueing them.
     traffic_config traffic_model_;
-    std::unique_ptr<traffic_source> source_;
     stats::rng arrival_rng_;  ///< re-derived at start() via split("traffic")
     std::deque<sim::time_us> queue_;  ///< enqueue timestamps, FIFO order
     sim::time_us head_enqueued_us_ = 0.0;  ///< of the packet in service
     stats::streaming_quantiles sojourn_;
 
-    // Per-event hot state (channel sense + contention + timer
-    // generation) lives in one cache-line block, pool-backed when the
-    // network provides one; everything below hot_ is cold (touched per
-    // packet or per epoch, not per event).
-    dcf_hot_state* hot_;
-    dcf_hot_state own_hot_;  ///< fallback storage for pool-less nodes
-
-    // Per-packet cold state.
+    // Per-packet state.
     std::uint64_t frame_sequence_ = 0;
     const capacity::phy_rate* packet_rate_ = nullptr;
 

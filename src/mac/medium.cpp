@@ -16,6 +16,12 @@ namespace {
 /// ratios stay finite even if compensated rounding dips below zero.
 constexpr double min_positive_mw = 1e-300;
 
+/// Every this-many transmission ends the medium rebuilds each node's
+/// running external-power sum exactly from the frames on the air, so
+/// the compensated incremental sums cannot drift over long runs. Keyed
+/// to event counts, never wall clock, so runs stay deterministic.
+constexpr int power_refresh_interval = 4096;
+
 /// The smallest power in mW whose dBm reading reaches `threshold_dbm`.
 /// mw_to_dbm is monotone, so `mw >= result` decides exactly as
 /// `mw_to_dbm(mw) >= threshold_dbm` does - the CCA compare stays in mW
@@ -446,8 +452,7 @@ void medium::end_transmission(node_id src) {
         deliveries.push_back({n, decoded});
         node.lock.src = no_lock;
     }
-    if (radio_.power_refresh_interval > 0 &&
-        ++ends_since_refresh_ >= radio_.power_refresh_interval) {
+    if (++ends_since_refresh_ >= power_refresh_interval) {
         refresh_power_sums();
         ends_since_refresh_ = 0;
     }

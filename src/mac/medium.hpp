@@ -57,9 +57,9 @@
 // neighbor's lock on the common path, and SINR is a linear ratio,
 // converted to dB once per reception at the PER lookup - so every
 // event is O(k) in the transmitter's k audible neighbors. An exact
-// reset whenever a node's audible set empties plus a periodic exact
-// refresh (radio_config::power_refresh_interval) keep the incremental
-// sums drift-free and deterministic. radio_config::audibility_floor_dbm
+// reset whenever a node's audible set empties plus an exact refresh
+// every 4,096 transmission ends keep the incremental sums drift-free
+// and deterministic. radio_config::audibility_floor_dbm
 // decides which links join the rows: with the floor disabled (the
 // default, a floor at -infinity) every link set with set_link_gain_db
 // is audible and the medium is exact, k = N - 1 on a full topology;

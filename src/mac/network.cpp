@@ -12,7 +12,7 @@ node_id network::add_node(const mac_config& config) {
     if (started_) throw std::logic_error("network::add_node: already running");
     auto node = std::make_unique<dcf_node>(
         sim_, *medium_, config,
-        seed_ + 0x9e3779b9u * (nodes_.size() + 1), hot_states_.allocate());
+        seed_ + 0x9e3779b9u * (nodes_.size() + 1));
     nodes_.push_back(std::move(node));
     return nodes_.back()->id();
 }

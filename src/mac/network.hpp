@@ -49,10 +49,6 @@ private:
     sim::simulator sim_;
     capacity::logistic_per_model errors_;
     std::unique_ptr<medium> medium_;
-    /// Hot per-node MAC state, one cache line per node, contiguous
-    /// chunks: the event handlers' working set at N=2000. Declared
-    /// before nodes_ so the blocks outlive the nodes pointing at them.
-    node_state_pool hot_states_;
     std::vector<std::unique_ptr<dcf_node>> nodes_;
     std::uint64_t seed_;
     bool started_ = false;

@@ -67,16 +67,6 @@ struct radio_config {
     /// audible; the exact medium).
     double audibility_floor_dbm = audibility_floor_disabled_dbm;
 
-    /// Medium-scaling knob: every this-many transmission *ends* the
-    /// medium rebuilds each node's running external-power sum exactly
-    /// from the active transmissions, so the compensated incremental
-    /// accounting can never drift over long runs. Keyed to event
-    /// counts, never wall clock, so runs stay deterministic. <= 0
-    /// disables the periodic refresh (the Kahan-compensated sums and the
-    /// exact reset whenever a node's audible set empties still bound the
-    /// error).
-    int power_refresh_interval = 4096;
-
     /// True when audibility_floor_dbm is set (sub-floor links culled).
     bool audibility_enabled() const noexcept {
         return audibility_floor_dbm > audibility_floor_disabled_dbm;
@@ -165,16 +155,12 @@ struct cs_adaptation_config {
     bool enabled() const noexcept { return policy != cs_adapt_policy::fixed; }
 };
 
-/// Arrival process of a node's offered traffic (src/mac/traffic.hpp
-/// turns this into a traffic_source).
+/// Arrival process of a node's offered traffic (dcf_node draws the
+/// Poisson gaps itself).
 enum class traffic_model {
     saturated,  ///< always backlogged: a new frame the instant one
                 ///< finishes (the historical behaviour, and the default)
     poisson,    ///< memoryless arrivals at offered_load_pps
-    cbr,        ///< constant bit rate: fixed 1e6/offered_load_pps spacing
-    on_off,     ///< interrupted Poisson: exponential on/off envelope with
-                ///< Poisson arrivals while on, duty-cycle-scaled so the
-                ///< long-run mean is still offered_load_pps
 };
 
 /// Traffic + queue knobs of one node. The default (saturated, and any
@@ -183,14 +169,9 @@ enum class traffic_model {
 struct traffic_config {
     traffic_model model = traffic_model::saturated;
 
-    /// Long-run mean offered load, packets/second. Ignored by the
-    /// saturated model; must be > 0 for every other model.
+    /// Mean offered load, packets/second. Ignored by the saturated
+    /// model; must be > 0 for Poisson.
     double offered_load_pps = 100.0;
-
-    /// on_off only: mean burst / silence durations of the exponential
-    /// envelope, microseconds.
-    double on_mean_us = 10'000.0;
-    double off_mean_us = 10'000.0;  ///< see on_mean_us
 
     /// Finite FIFO capacity: packets that may wait behind the one in
     /// service. Arrivals beyond this are dropped and counted

@@ -1,14 +1,14 @@
-// Traffic sources and the per-node FIFO queue: arrival determinism,
+// Poisson arrivals and the per-node FIFO queue: the arrival stream,
 // offered-load accounting, queue overflow drops, and the sojourn-time
 // metrics the unsaturated campaigns report.
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <cmath>
 
+#include "src/capacity/error_models.hpp"
 #include "src/capacity/rate_table.hpp"
 #include "src/mac/multi_pair.hpp"
 #include "src/mac/network.hpp"
-#include "src/mac/traffic.hpp"
 
 namespace {
 
@@ -25,72 +25,6 @@ traffic_config poisson_cfg(double pps) {
     return tc;
 }
 
-std::vector<double> draw_gaps(traffic_source& source, std::uint64_t seed,
-                              int count) {
-    rng gen(seed);
-    std::vector<double> gaps;
-    gaps.reserve(count);
-    for (int i = 0; i < count; ++i) {
-        gaps.push_back(source.next_interarrival_us(gen));
-    }
-    return gaps;
-}
-
-TEST(TrafficSource, SaturatedIsTheDefaultAndFlagsItself) {
-    // Saturated traffic has no arrival process, so it has no source.
-    EXPECT_TRUE(traffic_config{}.saturated());
-    EXPECT_EQ(make_traffic_source(traffic_config{}), nullptr);
-}
-
-TEST(TrafficSource, FactoryRejectsNonPositiveRates) {
-    traffic_config tc = poisson_cfg(0.0);
-    EXPECT_THROW(make_traffic_source(tc), std::invalid_argument);
-    tc = poisson_cfg(100.0);
-    tc.model = traffic_model::on_off;
-    tc.on_mean_us = 0.0;
-    EXPECT_THROW(make_traffic_source(tc), std::invalid_argument);
-}
-
-TEST(TrafficSource, PoissonIsSeedDeterministicWithTheRightMean) {
-    const auto a = make_traffic_source(poisson_cfg(1000.0));
-    const auto b = make_traffic_source(poisson_cfg(1000.0));
-    const auto gaps_a = draw_gaps(*a, 99, 20000);
-    const auto gaps_b = draw_gaps(*b, 99, 20000);
-    EXPECT_EQ(gaps_a, gaps_b);  // same seed => identical arrival sequence
-    double sum = 0.0;
-    for (const double g : gaps_a) sum += g;
-    EXPECT_NEAR(sum / gaps_a.size(), 1000.0, 20.0);  // mean 1e6/1000 us
-}
-
-TEST(TrafficSource, CbrIsFixedSpacingAndConsumesNoRandomness) {
-    traffic_config tc = poisson_cfg(500.0);
-    tc.model = traffic_model::cbr;
-    const auto source = make_traffic_source(tc);
-    // Different seeds, same sequence: CBR never touches the stream.
-    EXPECT_EQ(draw_gaps(*source, 1, 100),
-              draw_gaps(*make_traffic_source(tc), 2, 100));
-    EXPECT_DOUBLE_EQ(draw_gaps(*source, 3, 1).front(), 2000.0);
-}
-
-TEST(TrafficSource, OnOffKeepsTheOfferedMeanButBursts) {
-    traffic_config tc = poisson_cfg(1000.0);
-    tc.model = traffic_model::on_off;
-    tc.on_mean_us = 5'000.0;
-    tc.off_mean_us = 15'000.0;  // 25% duty cycle => 4x peak rate while on
-    const auto source = make_traffic_source(tc);
-    const auto gaps = draw_gaps(*source, 5, 40000);
-    double sum = 0.0;
-    int shorter_than_peak_mean = 0;
-    for (const double g : gaps) {
-        sum += g;
-        if (g < 250.0) ++shorter_than_peak_mean;
-    }
-    // Long-run mean stays the offered load...
-    EXPECT_NEAR(sum / gaps.size(), 1000.0, 60.0);
-    // ...but most gaps are short intra-burst ones (peak mean 250 us).
-    EXPECT_GT(shorter_than_peak_mean, gaps.size() / 2);
-}
-
 struct pair_net {
     network net;
     node_id s, r;
@@ -101,6 +35,73 @@ struct pair_net {
         net.set_link_gain_db(s, r, -60.0);
     }
 };
+
+TEST(TrafficQueue, PoissonArrivalsDrawFromTheNodesTrafficStream) {
+    // The node's gaps are exponential draws at offered_load_pps / 1e6
+    // per us from the "traffic" child of its seed's stream, so at every
+    // horizon the arrival count equals the number of running sums of
+    // those draws at or below it (run_until executes events at exactly
+    // the horizon). One final count could match another stream by
+    // chance; ten checkpoints cannot.
+    csense::sim::simulator sim;
+    const csense::capacity::logistic_per_model errors;
+    medium air(sim, radio_config{}, errors, 1);
+    dcf_node node(sim, air, mac_config{}, 12);
+    node.set_traffic(traffic_mode::broadcast, broadcast_id,
+                     rate_by_mbps(24.0), payload);
+    node.set_traffic_model(poisson_cfg(1000.0));
+    node.start();
+
+    rng stream = rng(12).split("traffic");
+    double next_arrival_us = stream.exponential(1e-3);
+    std::uint64_t expected = 0;
+    for (int step = 1; step <= 10; ++step) {
+        const double horizon_us = 5e4 * step;
+        sim.run_until(horizon_us);
+        while (next_arrival_us <= horizon_us) {
+            ++expected;
+            next_arrival_us += stream.exponential(1e-3);
+        }
+        EXPECT_EQ(node.stats().offered_packets, expected)
+            << "at " << horizon_us << " us";
+    }
+    EXPECT_GT(expected, 400u);
+}
+
+TEST(TrafficSource, SaturatedIsTheDefaultAndFlagsItself) {
+    // A sender never given a traffic model is saturated: it sends
+    // without waiting for, or counting, any arrival.
+    EXPECT_TRUE(traffic_config{}.saturated());
+    EXPECT_FALSE(poisson_cfg(100.0).saturated());
+    pair_net p(3);
+    dcf_node& sender = p.net.node(p.s);
+    sender.set_traffic(traffic_mode::broadcast, broadcast_id,
+                       rate_by_mbps(24.0), payload);
+    p.net.run(1e5);
+    EXPECT_GT(sender.stats().data_sent, 0u);
+    EXPECT_EQ(sender.stats().offered_packets, 0u);
+}
+
+TEST(TrafficSource, FactoryRejectsNonPositiveRates) {
+    // set_traffic_model validates a config before it stores it: a
+    // Poisson load must be > 0 and a queue capacity must not be
+    // negative.
+    pair_net q(4);
+    dcf_node& node = q.net.node(q.s);
+    traffic_config tc = poisson_cfg(0.0);
+    EXPECT_THROW(node.set_traffic_model(tc), std::invalid_argument);
+    tc.offered_load_pps = -50.0;
+    EXPECT_THROW(node.set_traffic_model(tc), std::invalid_argument);
+    tc.offered_load_pps = std::nan("");
+    EXPECT_THROW(node.set_traffic_model(tc), std::invalid_argument);
+    tc = poisson_cfg(100.0);
+    tc.queue_capacity = -1;
+    EXPECT_THROW(node.set_traffic_model(tc), std::invalid_argument);
+    // The saturated model ignores the load.
+    traffic_config saturated;
+    saturated.offered_load_pps = 0.0;
+    EXPECT_NO_THROW(node.set_traffic_model(saturated));
+}
 
 TEST(TrafficQueue, LowLoadDeliversTheOfferedPacketsWithSmallSojourns) {
     pair_net p(17);
@@ -156,21 +157,23 @@ TEST(TrafficQueue, SameSeedSameArrivalsAcrossRuns) {
 }
 
 TEST(TrafficQueue, IdleSenderRestartsOnTheNextArrival) {
-    // CBR at a very low rate: every packet finds an empty pipeline, so
-    // deliveries track arrivals one for one.
+    // 50 pps against a sub-millisecond service time: nearly every packet
+    // finds the sender idle with its queue drained, so deliveries track
+    // arrivals one for one.
     pair_net p(29);
-    traffic_config tc = poisson_cfg(50.0);
-    tc.model = traffic_model::cbr;
     p.net.node(p.s).set_traffic(traffic_mode::unicast, p.r,
                                 rate_by_mbps(24.0), payload);
-    p.net.node(p.s).set_traffic_model(tc);
+    p.net.node(p.s).set_traffic_model(poisson_cfg(50.0));
     p.net.run(2e6);
     const auto& stats = p.net.node(p.s).stats();
-    // Arrivals at 20 ms, 40 ms, ..., 2000 ms (run_until executes events
-    // at exactly the horizon); the last one never gets air time.
-    EXPECT_EQ(stats.offered_packets, 100u);
-    EXPECT_EQ(stats.data_acked, 99u);
+    ASSERT_GT(stats.offered_packets, 50u);
+    EXPECT_EQ(stats.queue_drops, 0u);
+    EXPECT_EQ(stats.data_dropped, 0u);
     EXPECT_EQ(p.net.node(p.s).queue_depth(), 0u);
+    // Every arrival is delivered but at most the one in service at the
+    // horizon.
+    EXPECT_LE(stats.data_acked, stats.offered_packets);
+    EXPECT_GE(stats.data_acked + 1, stats.offered_packets);
 }
 
 TEST(MultiPairTraffic, UnsaturatedRunReportsLatencyAndDropMetrics) {
