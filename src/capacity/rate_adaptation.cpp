@@ -5,12 +5,15 @@
 
 namespace csense::capacity {
 
-arf::arf(const std::vector<phy_rate>& table, int up_after, int down_after)
-    : table_(table), up_after_(up_after), down_after_(down_after) {
+namespace {
+/// SampleRate's weight of the newest outcome in a rate's delivery EWMA.
+constexpr double sample_rate_ewma_weight = 0.25;
+/// Share of SampleRate's packets spent probing another rate.
+constexpr double sample_rate_probe_share = 0.1;
+}  // namespace
+
+arf::arf(const std::vector<phy_rate>& table) : table_(table) {
     if (table_.empty()) throw std::invalid_argument("arf: empty rate table");
-    if (up_after < 1 || down_after < 1) {
-        throw std::invalid_argument("arf: thresholds must be >= 1");
-    }
 }
 
 const phy_rate& arf::next_rate() { return table_[index_]; }
@@ -18,13 +21,13 @@ const phy_rate& arf::next_rate() { return table_[index_]; }
 void arf::report(const phy_rate&, bool delivered, double) {
     if (delivered) {
         failures_ = 0;
-        if (++successes_ >= up_after_ && index_ + 1 < table_.size()) {
+        if (++successes_ >= successes_to_climb && index_ + 1 < table_.size()) {
             ++index_;
             successes_ = 0;
         }
     } else {
         successes_ = 0;
-        if (++failures_ >= down_after_ && index_ > 0) {
+        if (++failures_ >= failures_to_fall && index_ > 0) {
             --index_;
             failures_ = 0;
         }
@@ -32,10 +35,9 @@ void arf::report(const phy_rate&, bool delivered, double) {
 }
 
 sample_rate::sample_rate(const std::vector<phy_rate>& table, int payload_bytes,
-                         std::uint64_t seed, double ewma_weight,
-                         double probe_fraction)
+                         std::uint64_t seed)
     : table_(table), states_(table.size()), payload_bytes_(payload_bytes),
-      rng_(seed), ewma_weight_(ewma_weight), probe_fraction_(probe_fraction) {
+      rng_(seed) {
     if (table_.empty()) throw std::invalid_argument("sample_rate: empty table");
     if (payload_bytes <= 0) throw std::invalid_argument("sample_rate: payload");
 }
@@ -66,7 +68,7 @@ std::size_t sample_rate::best_index() const {
 const phy_rate& sample_rate::next_rate() {
     const std::size_t best = best_index();
     pending_index_ = best;
-    if (rng_.uniform() < probe_fraction_ && table_.size() > 1) {
+    if (rng_.uniform() < sample_rate_probe_share && table_.size() > 1) {
         // Probe a random other rate whose lossless air time could beat the
         // current best's expected time (SampleRate's pruning rule).
         const double current = expected_time_us(best);
@@ -95,8 +97,9 @@ void sample_rate::report(const phy_rate& rate, bool delivered, double) {
         if (state.ewma_delivery < 0.0) {
             state.ewma_delivery = outcome;
         } else {
-            state.ewma_delivery = (1.0 - ewma_weight_) * state.ewma_delivery +
-                                  ewma_weight_ * outcome;
+            state.ewma_delivery =
+                (1.0 - sample_rate_ewma_weight) * state.ewma_delivery +
+                sample_rate_ewma_weight * outcome;
         }
         return;
     }
@@ -105,15 +108,14 @@ void sample_rate::report(const phy_rate& rate, bool delivered, double) {
 
 const phy_rate& best_fixed_rate_oracle(const std::vector<phy_rate>& table,
                                        const logistic_per_model& model,
-                                       double sinr_db, int payload_bytes,
-                                       int cw_min) {
+                                       double sinr_db, int payload_bytes) {
     if (table.empty()) {
         throw std::invalid_argument("best_fixed_rate_oracle: empty table");
     }
     const phy_rate* best = &table.front();
     double best_goodput = -1.0;
     for (const auto& rate : table) {
-        const double pps = saturated_broadcast_pps(rate, payload_bytes, cw_min);
+        const double pps = saturated_broadcast_pps(rate, payload_bytes);
         const double goodput =
             pps * model.delivery_rate(rate, sinr_db, payload_bytes);
         if (goodput > best_goodput) {

@@ -30,12 +30,14 @@ public:
                         double airtime_us) = 0;
 };
 
-/// ARF: move up one rate after `up_after` consecutive successes, down one
-/// after `down_after` consecutive failures.
+/// ARF: move up one rate after `successes_to_climb` consecutive
+/// successes, down one after `failures_to_fall` consecutive failures.
 class arf final : public rate_adaptation {
 public:
-    explicit arf(const std::vector<phy_rate>& table = ofdm_rates(),
-                 int up_after = 10, int down_after = 2);
+    static constexpr int successes_to_climb = 10;
+    static constexpr int failures_to_fall = 2;
+
+    explicit arf(const std::vector<phy_rate>& table = ofdm_rates());
 
     const phy_rate& next_rate() override;
     void report(const phy_rate& rate, bool delivered, double airtime_us) override;
@@ -43,8 +45,6 @@ public:
 private:
     std::vector<phy_rate> table_;
     std::size_t index_ = 0;
-    int up_after_;
-    int down_after_;
     int successes_ = 0;
     int failures_ = 0;
 };
@@ -56,8 +56,7 @@ private:
 class sample_rate final : public rate_adaptation {
 public:
     explicit sample_rate(const std::vector<phy_rate>& table, int payload_bytes,
-                         std::uint64_t seed = 1, double ewma_weight = 0.25,
-                         double probe_fraction = 0.1);
+                         std::uint64_t seed = 1);
 
     const phy_rate& next_rate() override;
     void report(const phy_rate& rate, bool delivered, double airtime_us) override;
@@ -79,8 +78,6 @@ private:
     std::vector<rate_state> states_;
     int payload_bytes_;
     stats::rng rng_;
-    double ewma_weight_;
-    double probe_fraction_;
     std::size_t pending_index_ = 0;
 };
 
@@ -89,7 +86,6 @@ private:
 /// maximizing delivered packets/second of a saturated broadcast sender.
 const phy_rate& best_fixed_rate_oracle(const std::vector<phy_rate>& table,
                                        const logistic_per_model& model,
-                                       double sinr_db, int payload_bytes,
-                                       int cw_min = 15);
+                                       double sinr_db, int payload_bytes);
 
 }  // namespace csense::capacity

@@ -67,10 +67,9 @@ double frame_airtime_us(const phy_rate& rate, int payload_bytes) {
            ofdm_timing::symbol_us * symbols;
 }
 
-double saturated_broadcast_pps(const phy_rate& rate, int payload_bytes,
-                               int cw_min) {
+double saturated_broadcast_pps(const phy_rate& rate, int payload_bytes) {
     const double mean_backoff_us =
-        0.5 * static_cast<double>(cw_min) * ofdm_timing::slot_us;
+        0.5 * static_cast<double>(ofdm_timing::cw_min) * ofdm_timing::slot_us;
     const double cycle_us = ofdm_timing::difs_us + mean_backoff_us +
                             frame_airtime_us(rate, payload_bytes);
     return 1e6 / cycle_us;

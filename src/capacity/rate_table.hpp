@@ -52,6 +52,8 @@ struct ofdm_timing {
     static constexpr double slot_us = 9.0;
     static constexpr double sifs_us = 16.0;
     static constexpr double difs_us = sifs_us + 2.0 * slot_us;  // 34 us
+    static constexpr int cw_min = 15;    ///< initial contention window, slots
+    static constexpr int cw_max = 1023;  ///< cap of the doubling on retries
 };
 
 /// Air time in microseconds of a frame with `payload_bytes` of MAC-level
@@ -61,9 +63,8 @@ struct ofdm_timing {
 double frame_airtime_us(const phy_rate& rate, int payload_bytes);
 
 /// Throughput in packets/second of a saturated broadcast sender at the
-/// given rate: one frame per DIFS + expected backoff + airtime. `cw_min`
-/// is the contention window the expected backoff is drawn from.
-double saturated_broadcast_pps(const phy_rate& rate, int payload_bytes,
-                               int cw_min = 15);
+/// given rate: one frame per DIFS + expected backoff (drawn from
+/// ofdm_timing::cw_min) + airtime.
+double saturated_broadcast_pps(const phy_rate& rate, int payload_bytes);
 
 }  // namespace csense::capacity

@@ -6,25 +6,19 @@
 
 namespace csense::core {
 
-void fixed_point_options::validate() const {
-    if (!(gain > 0.0) || gain > 1.0) {
-        throw std::invalid_argument("fixed_point_options: gain not in (0, 1]");
-    }
-    if (max_iterations < 1) {
-        throw std::invalid_argument("fixed_point_options: max_iterations < 1");
-    }
-    if (!(log_tolerance > 0.0)) {
-        throw std::invalid_argument("fixed_point_options: log_tolerance <= 0");
-    }
-    if (initial_d < 0.0) {
-        throw std::invalid_argument("fixed_point_options: negative initial_d");
-    }
-}
+namespace {
+/// Log-domain damping gain in (0, 1]. 1 is the undamped Kim & Kim
+/// update; smaller values trade iterations for robustness when <C_conc>
+/// is steep in log D.
+constexpr double damping_gain = 0.6;
+/// Iteration cap before giving up.
+constexpr int max_iterations = 80;
+/// Convergence test: |log(D_{k+1}/D_k)| below this stops the loop.
+constexpr double log_tolerance = 1e-7;
+}  // namespace
 
 fixed_point_result solve_threshold_fixed_point(
-    const expectation_engine& engine, double rmax,
-    const fixed_point_options& options) {
-    options.validate();
+    const expectation_engine& engine, double rmax) {
     if (!(rmax > 0.0)) {
         throw std::domain_error("solve_threshold_fixed_point: rmax");
     }
@@ -49,10 +43,9 @@ fixed_point_result solve_threshold_fixed_point(
     const double d_ceiling = 1e3 * rmax;
 
     fixed_point_result result;
-    double d = (options.initial_d > 0.0) ? options.initial_d : rmax;
-    d = std::clamp(d, d_floor, d_ceiling);
+    double d = std::clamp(rmax, d_floor, d_ceiling);
     result.trajectory.push_back(d);
-    for (int k = 0; k < options.max_iterations; ++k) {
+    for (int k = 0; k < max_iterations; ++k) {
         const double conc = engine.expected_concurrent(rmax, d);
         if (!(conc > 0.0)) {
             // A dead concurrent channel (possible only at pathological
@@ -63,11 +56,11 @@ fixed_point_result solve_threshold_fixed_point(
             ++result.iterations;
             continue;
         }
-        const double step = options.gain * std::log(mux / conc);
+        const double step = damping_gain * std::log(mux / conc);
         const double next = std::clamp(d * std::exp(step), d_floor, d_ceiling);
         ++result.iterations;
         result.trajectory.push_back(next);
-        const bool done = std::abs(std::log(next / d)) < options.log_tolerance;
+        const bool done = std::abs(std::log(next / d)) < log_tolerance;
         d = next;
         if (done) {
             result.converged = true;

@@ -25,26 +25,6 @@
 
 namespace csense::core {
 
-/// Knobs of the damped fixed-point iteration.
-struct fixed_point_options {
-    /// Log-domain damping gain in (0, 1]. 1 is the undamped Kim & Kim
-    /// update; smaller values trade iterations for robustness when
-    /// <C_conc> is steep in log D.
-    double gain = 0.6;
-
-    /// Iteration cap before giving up.
-    int max_iterations = 80;
-
-    /// Convergence test: |log(D_{k+1}/D_k)| below this stops the loop.
-    double log_tolerance = 1e-7;
-
-    /// Starting point; 0 picks Rmax (a threshold at the network edge).
-    double initial_d = 0.0;
-
-    /// Throws std::invalid_argument on nonsensical options.
-    void validate() const;
-};
-
 /// Outcome of one fixed-point solve.
 struct fixed_point_result {
     /// The converged threshold distance (same units as Rmax).
@@ -56,7 +36,7 @@ struct fixed_point_result {
     /// Iterations actually taken.
     int iterations = 0;
 
-    /// False when the iteration hit max_iterations, or when the model is
+    /// False when the iteration hit its cap, or when the model is
     /// in the extreme-long-range regime (concurrency beats multiplexing
     /// even for collocated senders, so no finite crossing exists).
     bool converged = false;
@@ -67,12 +47,12 @@ struct fixed_point_result {
 };
 
 /// Solve <C_conc>(Rmax, D) = <C_mux>(Rmax) by the damped fixed-point
-/// iteration above. Matches optimal_threshold()'s Brent root for every
-/// environment with a crossing; in the extreme-long-range regime it
-/// returns d_thresh = 0 and converged = false (mirroring
-/// threshold_result::found).
+/// iteration above, from D = Rmax (a threshold at the network edge).
+/// Matches optimal_threshold()'s Brent root for every environment with a
+/// crossing; in the extreme-long-range regime it returns d_thresh = 0
+/// and converged = false (mirroring threshold_result::found). Throws
+/// std::domain_error unless rmax > 0.
 fixed_point_result solve_threshold_fixed_point(
-    const expectation_engine& engine, double rmax,
-    const fixed_point_options& options = {});
+    const expectation_engine& engine, double rmax);
 
 }  // namespace csense::core

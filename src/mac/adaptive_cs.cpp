@@ -12,19 +12,34 @@ namespace csense::mac {
 
 namespace {
 
+/// Weight of the newest epoch in the busy and loss EWMAs.
+constexpr double ewma_weight = 0.25;
+
+/// target_busy: the set point is 1 - busy_idle_scale / contenders (with
+/// n saturated senders the idle fraction at a well-tuned threshold
+/// shrinks like 1/n), and the threshold moves busy_gain_db per unit of
+/// busy-fraction error. Calibrated against camp03 so the equilibrium
+/// tracks the offline-tuned optimum across densities; larger gains
+/// track faster but oscillate around the set point at high density.
+constexpr double busy_idle_scale = 3.8;
+constexpr double busy_gain_db = 6.0;
+
+/// aimd: additive raise per clean epoch, back-off (multiplicative in
+/// linear power) per congested one, and the loss EWMA above which an
+/// epoch counts as congested.
+constexpr double ai_step_db = 0.5;
+constexpr double md_backoff_db = 3.0;
+constexpr double loss_target = 0.15;
+
+/// iterative_fixed_point: dB of threshold per doubling of the
+/// concurrent/fair-share capacity ratio.
+constexpr double fp_gain_db = 8.0;
+
 /// Throws on nonsense; returns the config so it can gate the member
-/// initializer list (the std::clamp there needs min <= max proven
-/// first - inverted bounds are undefined behaviour for std::clamp).
+/// initializer list.
 const cs_adaptation_config& validated(const cs_adaptation_config& config) {
     if (!(config.epoch_us > 0.0)) {
         throw std::invalid_argument("cs_adaptation_config: epoch_us <= 0");
-    }
-    if (config.min_threshold_dbm > config.max_threshold_dbm) {
-        throw std::invalid_argument("cs_adaptation_config: min > max");
-    }
-    if (!(config.ewma_weight > 0.0) || config.ewma_weight > 1.0) {
-        throw std::invalid_argument(
-            "cs_adaptation_config: ewma_weight not in (0, 1]");
     }
     if (config.jitter_db < 0.0) {
         throw std::invalid_argument("cs_adaptation_config: negative jitter");
@@ -38,16 +53,15 @@ adaptive_cs_controller::adaptive_cs_controller(
     const cs_adaptation_config& config, double initial_threshold_dbm,
     double signal_dbm, double noise_dbm, int contenders, stats::rng stream)
     : config_(validated(config)),
-      threshold_dbm_(std::clamp(initial_threshold_dbm,
-                                config.min_threshold_dbm,
-                                config.max_threshold_dbm)),
+      threshold_dbm_(std::clamp(initial_threshold_dbm, min_threshold_dbm,
+                                max_threshold_dbm)),
       signal_dbm_(signal_dbm),
       noise_dbm_(noise_dbm),
       contenders_(std::max(contenders, 1)),
       rng_(stream) {}
 
 double adaptive_cs_controller::on_epoch(const adaptive_cs_sample& sample) {
-    const double w = config_.ewma_weight;
+    constexpr double w = ewma_weight;
     busy_ewma_ = (1.0 - w) * busy_ewma_ +
                  w * std::clamp(sample.busy_fraction, 0.0, 1.0);
     if (sample.attempts > 0.0) {
@@ -55,30 +69,24 @@ double adaptive_cs_controller::on_epoch(const adaptive_cs_sample& sample) {
             1.0 - sample.delivered / sample.attempts, 0.0, 1.0);
         loss_ewma_ = (1.0 - w) * loss_ewma_ + w * loss;
     }
-    goodput_ewma_ = (1.0 - w) * goodput_ewma_ + w * sample.delivered;
 
     double threshold = threshold_dbm_;
     switch (config_.policy) {
         case cs_adapt_policy::fixed:
             break;
         case cs_adapt_policy::aimd:
-            if (loss_ewma_ > config_.loss_target) {
-                threshold -= config_.md_backoff_db;
+            if (loss_ewma_ > loss_target) {
+                threshold -= md_backoff_db;
             } else {
-                threshold += config_.ai_step_db;
+                threshold += ai_step_db;
             }
             break;
         case cs_adapt_policy::target_busy: {
-            // With n saturated senders the idle fraction at a well-tuned
-            // threshold shrinks like 1/n, so the auto set point scales
-            // the target with the contender count.
             const double target =
-                config_.busy_target > 0.0
-                    ? config_.busy_target
-                    : std::clamp(1.0 - config_.busy_idle_scale /
-                                           static_cast<double>(contenders_),
-                                 0.10, 0.95);
-            threshold += config_.busy_gain_db * (busy_ewma_ - target);
+                std::clamp(1.0 - busy_idle_scale /
+                                     static_cast<double>(contenders_),
+                           0.10, 0.95);
+            threshold += busy_gain_db * (busy_ewma_ - target);
             break;
         }
         case cs_adapt_policy::iterative_fixed_point: {
@@ -101,8 +109,7 @@ double adaptive_cs_controller::on_epoch(const adaptive_cs_sample& sample) {
                 0.5 * capacity::shannon_bits_per_hz(s_mw / n_mw);
             if (c_conc > 0.0 && c_mux > 0.0) {
                 const double balance = std::log2(c_conc / c_mux);
-                threshold +=
-                    config_.fp_gain_db * std::clamp(balance, -1.0, 1.0);
+                threshold += fp_gain_db * std::clamp(balance, -1.0, 1.0);
             }
             break;
         }
@@ -110,8 +117,8 @@ double adaptive_cs_controller::on_epoch(const adaptive_cs_sample& sample) {
     if (config_.jitter_db > 0.0) {
         threshold += config_.jitter_db * (rng_.uniform() - 0.5);
     }
-    threshold_dbm_ = std::clamp(threshold, config_.min_threshold_dbm,
-                                config_.max_threshold_dbm);
+    threshold_dbm_ =
+        std::clamp(threshold, min_threshold_dbm, max_threshold_dbm);
     return threshold_dbm_;
 }
 

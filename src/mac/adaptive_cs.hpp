@@ -5,16 +5,15 @@
 // threshold closes most of the gap to optimal scheduling; tab02/abl05
 // compute those tuned thresholds offline. This module feeds the tuning
 // back into the running MAC: each sender keeps EWMA estimates of its
-// sensed busy-time fraction, delivery loss rate and goodput, and a
-// pluggable policy (cs_adapt_policy in
-// src/mac/wireless_config.hpp) moves the node's effective
-// cs_threshold_dbm once per adaptation epoch through the
-// dcf_node::set_cs_threshold_dbm hook:
+// sensed busy-time fraction and delivery loss rate, and a pluggable
+// policy (cs_adapt_policy in src/mac/wireless_config.hpp) moves the
+// node's effective cs_threshold_dbm once per adaptation epoch through
+// the dcf_node::set_cs_threshold_dbm hook:
 //
 //  - `aimd`            raises the threshold additively while the loss
-//                      EWMA stays under loss_target and backs it off by
-//                      md_backoff_db when congestion shows (Chau et
-//                      al.'s adaptive-CS flavour);
+//                      EWMA stays under its target and backs it off by a
+//                      fixed step when congestion shows (Chau et al.'s
+//                      adaptive-CS flavour);
 //  - `target_busy`     integral-controls the busy-time fraction to a set
 //                      point, which places the threshold at the matching
 //                      quantile of the sensed-power distribution;
@@ -28,6 +27,10 @@
 //                      half share, i.e. the same concurrency-vs-
 //                      multiplexing crossing the offline model solves,
 //                      driven by the fed-back receiver RSSI.
+//
+// Each law's gains are calibration constants in adaptive_cs.cpp
+// (camp03 tuned them); only the policy, the epoch and the dither are
+// per-node settings (cs_adaptation_config).
 //
 // Determinism: controllers are driven by a single per-network epoch
 // event that visits senders in node-index order, and each controller's
@@ -46,7 +49,7 @@
 namespace csense::mac {
 
 /// One adapted sender and the receiver whose deliveries ground its loss
-/// and goodput signals (in the simulator the designated receiver's
+/// signal (in the simulator the designated receiver's
 /// decode counts stand in for the receiver feedback a real adaptive MAC
 /// would piggyback on ACKs).
 struct adaptive_cs_link {
@@ -66,6 +69,10 @@ struct adaptive_cs_sample {
 /// adaptive_cs_manager wires it to a live network.
 class adaptive_cs_controller {
 public:
+    /// Hard clamp of every policy's output, dBm.
+    static constexpr double min_threshold_dbm = -95.0;
+    static constexpr double max_threshold_dbm = -60.0;
+
     /// `signal_dbm` is the sender->receiver received power, `noise_dbm`
     /// the radio noise floor, and `contenders` the number of competing
     /// senders - the quantities the fixed-point balance needs. `stream`
@@ -82,9 +89,6 @@ public:
     double on_epoch(const adaptive_cs_sample& sample);
 
     double threshold_dbm() const noexcept { return threshold_dbm_; }
-    double busy_ewma() const noexcept { return busy_ewma_; }
-    double loss_ewma() const noexcept { return loss_ewma_; }
-    double goodput_ewma() const noexcept { return goodput_ewma_; }
 
 private:
     cs_adaptation_config config_;
@@ -96,7 +100,6 @@ private:
 
     double busy_ewma_ = 0.0;
     double loss_ewma_ = 0.0;
-    double goodput_ewma_ = 0.0;
 };
 
 /// Drives one controller per sender inside a running network: a single
@@ -131,10 +134,6 @@ public:
 
     /// Current per-sender thresholds, in link order.
     std::vector<double> thresholds_dbm() const;
-
-    const adaptive_cs_controller& controller(std::size_t link_index) const {
-        return links_.at(link_index).controller;
-    }
 
 private:
     struct link_state {

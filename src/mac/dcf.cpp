@@ -10,18 +10,19 @@ using capacity::ofdm_timing;
 namespace {
 /// Scheduling slack added to response timeouts.
 constexpr sim::time_us timeout_margin_us = 10.0;
+/// Unicast retries before a frame is dropped (broadcast never retries).
+constexpr int retry_limit = 7;
+/// §5 heuristic: RTS/CTS turns on when the loss EWMA exceeds
+/// rts_loss_threshold on a link whose SNR is at least
+/// rts_snr_threshold_db (high loss despite high RSSI).
+constexpr double rts_loss_threshold = 0.4;
+constexpr double rts_snr_threshold_db = 15.0;
 }  // namespace
 
 dcf_node::dcf_node(sim::simulator& sim, medium& med, mac_config config,
                    std::uint64_t seed)
-    : sim_(sim), medium_(med), cw_(config.cw_min), config_(config),
-      id_(med.add_node(*this, med.radio().cs_threshold_dbm +
-                                  config.cs_threshold_offset_db)),
-      rng_(seed), control_rate_(&capacity::rate_by_mbps(6.0)) {
-    if (config_.cw_min < 1 || config_.cw_max < config_.cw_min) {
-        throw std::invalid_argument("dcf_node: bad contention window");
-    }
-}
+    : sim_(sim), medium_(med), config_(config), id_(med.add_node(*this)),
+      rng_(seed), control_rate_(&capacity::rate_by_mbps(6.0)) {}
 
 void dcf_node::set_traffic(traffic_mode mode, node_id destination,
                            const capacity::phy_rate& rate, int payload_bytes) {
@@ -210,7 +211,7 @@ const capacity::phy_rate& dcf_node::current_data_rate() {
 void dcf_node::new_packet() {
     have_packet_ = true;
     retries_ = 0;
-    cw_ = config_.cw_min;
+    cw_ = ofdm_timing::cw_min;
     ++frame_sequence_;
     packet_rate_ = &current_data_rate();
     slots_left_ = static_cast<int>(rng_.uniform_int(
@@ -220,12 +221,12 @@ void dcf_node::new_packet() {
 
 void dcf_node::retry_packet() {
     ++retries_;
-    if (retries_ > config_.retry_limit) {
+    if (retries_ > retry_limit) {
         ++stats_.data_dropped;
         packet_done(false);
         return;
     }
-    cw_ = std::min(2 * (cw_ + 1) - 1, config_.cw_max);
+    cw_ = std::min(2 * (cw_ + 1) - 1, ofdm_timing::cw_max);
     slots_left_ = static_cast<int>(rng_.uniform_int(
         static_cast<std::uint64_t>(cw_) + 1));
     difs_done_ = false;
@@ -316,8 +317,8 @@ void dcf_node::note_unicast_outcome(bool delivered) {
         loss_ewma_ = (1.0 - weight) * loss_ewma_ + weight * (delivered ? 0.0 : 1.0);
         const double snr_db = medium_.rx_power_dbm(destination_, id_) -
                               medium_.radio().noise_floor_dbm;
-        heuristic_rts_on_ = loss_ewma_ > config_.rts_loss_threshold &&
-                            snr_db >= config_.rts_snr_threshold_db;
+        heuristic_rts_on_ = loss_ewma_ > rts_loss_threshold &&
+                            snr_db >= rts_snr_threshold_db;
     }
 }
 

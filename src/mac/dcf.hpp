@@ -100,12 +100,13 @@ public:
     bool rts_active() const;
 
     /// Effective energy-detection threshold in dBm, as the medium holds
-    /// it (medium::cca_threshold_dbm): the radio default plus this
-    /// node's calibration offset until an override is installed.
+    /// it (medium::cca_threshold_dbm): radio_config::cs_threshold_dbm
+    /// until an override is installed.
     double cs_threshold_dbm() const;
 
     /// Install a per-node threshold override (the adaptive-carrier-sense
-    /// hook; see src/mac/adaptive_cs.hpp). The medium re-judges the
+    /// hook, see src/mac/adaptive_cs.hpp, and the one way to give a node
+    /// a miscalibrated threshold). The medium re-judges the
     /// energy-busy state against this node's last CCA sample
     /// immediately, so a threshold step mid-backoff behaves exactly like
     /// a channel power change. Throws std::invalid_argument when the
@@ -176,7 +177,7 @@ private:
     sim::time_us busy_accum_us_ = 0.0;
     std::uint64_t timer_generation_ = 0;
     int slots_left_ = 0;
-    int cw_;
+    int cw_ = capacity::ofdm_timing::cw_min;
     int retries_ = 0;
     state state_ = state::idle;
     bool energy_busy_ = false;

@@ -158,13 +158,14 @@ multi_pair_result run_multi_pair(const multi_pair_topology& topology,
         throw std::invalid_argument("run_multi_pair: no data rate");
     }
     if (config.radio.audibility_enabled() && config.adapt.enabled() &&
-        config.adapt.min_threshold_dbm <= config.radio.audibility_floor_dbm) {
+        adaptive_cs_controller::min_threshold_dbm <=
+            config.radio.audibility_floor_dbm) {
         // The medium refuses each per-node threshold at or below the
         // floor only when a controller installs it; checking the
         // adaptive clamp here fails before any simulation time is spent.
         throw std::invalid_argument(
-            "run_multi_pair: adapt.min_threshold_dbm must stay above "
-            "radio.audibility_floor_dbm");
+            "run_multi_pair: the adaptive clamp's min_threshold_dbm must "
+            "stay above radio.audibility_floor_dbm");
     }
     if (config.rate_adapt != rate_adapt_mode::off && !config.unicast) {
         throw std::invalid_argument(

@@ -57,14 +57,13 @@ struct radio_config {
     /// culling would change CCA/preamble semantics rather than just
     /// dropping negligible power. The medium enforces this: its
     /// constructor checks preamble_threshold_dbm and cs_threshold_dbm,
-    /// and every per-node threshold it is handed (the
-    /// mac_config::cs_threshold_offset_db a node registers with, and
-    /// each dcf_node::set_cs_threshold_dbm override an adaptive
-    /// controller installs) is rejected with std::invalid_argument at or
-    /// below the floor. run_multi_pair also checks
-    /// cs_adaptation_config::min_threshold_dbm up front, before any
-    /// simulation time is spent. Default: disabled (every set link is
-    /// audible; the exact medium).
+    /// and every per-node threshold it is handed (each
+    /// dcf_node::set_cs_threshold_dbm override, such as the ones an
+    /// adaptive controller installs) is rejected with
+    /// std::invalid_argument at or below the floor. run_multi_pair also
+    /// checks the adaptive clamp, adaptive_cs_controller::
+    /// min_threshold_dbm, up front, before any simulation time is spent.
+    /// Default: disabled (every set link is audible; the exact medium).
     double audibility_floor_dbm = audibility_floor_disabled_dbm;
 
     /// True when audibility_floor_dbm is set (sub-floor links culled).
@@ -86,10 +85,12 @@ enum class cs_adapt_policy {
                            ///< equals the fair TDMA share
 };
 
-/// Per-node knobs of the closed-loop threshold controller. All dB/dBm
-/// fields act on the node's *effective* energy-detection threshold (the
-/// dcf_node override that replaces radio_config::cs_threshold_dbm +
-/// mac_config::cs_threshold_offset_db once adaptation is enabled).
+/// Per-node knobs of the closed-loop threshold controller. The control
+/// laws' gains are constants in src/mac/adaptive_cs.cpp, and the
+/// threshold clamp is adaptive_cs_controller's. The controller acts on
+/// the node's *effective* energy-detection threshold (the
+/// dcf_node::set_cs_threshold_dbm override that replaces
+/// radio_config::cs_threshold_dbm once adaptation is enabled).
 struct cs_adaptation_config {
     /// Which control law runs; `fixed` disables adaptation entirely (no
     /// epoch events are scheduled, so a run is byte-identical to one
@@ -99,52 +100,6 @@ struct cs_adaptation_config {
     /// Adaptation epoch in microseconds: the controller samples its
     /// EWMAs and moves the threshold once per epoch.
     double epoch_us = 50'000.0;
-
-    /// Hard clamp for the adapted threshold, dBm. Every policy's output
-    /// is clamped to [min_threshold_dbm, max_threshold_dbm].
-    double min_threshold_dbm = -95.0;
-    double max_threshold_dbm = -60.0;  ///< see min_threshold_dbm
-
-    /// Weight of the newest epoch in the busy/loss/goodput EWMAs, in
-    /// (0, 1]; 1 trusts each epoch alone.
-    double ewma_weight = 0.25;
-
-    /// target_busy: busy-time-fraction set point. The threshold moves by
-    /// busy_gain_db * (busy EWMA - busy_target) per epoch, so a channel
-    /// sensed busier than the target raises (deafens) the threshold.
-    /// <= 0 (the default) selects the density-aware auto rule
-    /// 1 - busy_idle_scale / contenders: with n saturated senders the
-    /// idle fraction at a well-tuned threshold shrinks like 1/n.
-    double busy_target = 0.0;
-
-    /// target_busy: idle-fraction scale of the auto set point (see
-    /// busy_target). Calibrated so the equilibrium threshold tracks the
-    /// offline-tuned optimum across densities.
-    double busy_idle_scale = 3.8;
-
-    /// target_busy: proportional gain, dB of threshold per unit of
-    /// busy-fraction error. Calibrated against camp03: larger gains
-    /// track faster but oscillate around the set point at high density.
-    double busy_gain_db = 6.0;
-
-    /// aimd: additive threshold increase per clean epoch, dB.
-    double ai_step_db = 0.5;
-
-    /// aimd: threshold decrease on a congested epoch, dB (multiplicative
-    /// in linear power).
-    double md_backoff_db = 3.0;
-
-    /// aimd: loss-rate EWMA above which an epoch counts as congested.
-    double loss_target = 0.15;
-
-    /// iterative_fixed_point: gain on the capacity-balance step, dB of
-    /// threshold per doubling of the concurrent/fair-share capacity
-    /// ratio. The balance compares the link's Shannon capacity against
-    /// the marginal admitted contender (sensed exactly at the current
-    /// threshold; the pairwise D >> r approximation) with the fair
-    /// half share, so the fixed point is the node-local analogue of the
-    /// offline concurrency/multiplexing crossing.
-    double fp_gain_db = 8.0;
 
     /// Optional exploration dither, dB, drawn uniformly in
     /// [-jitter_db/2, +jitter_db/2] from the node's split RNG stream
@@ -184,19 +139,14 @@ struct traffic_config {
     }
 };
 
-/// Per-node MAC behaviour.
+/// Per-node MAC behaviour. The 802.11 contention window is
+/// capacity::ofdm_timing::cw_min/cw_max; the retry limit and the §5
+/// trigger's thresholds are constants of src/mac/dcf.cpp.
 struct mac_config {
     cs_mode sense = cs_mode::energy_and_preamble;
-    double cs_threshold_offset_db = 0.0;  ///< per-node calibration error
-                                          ///< (threshold asymmetry pathology)
-    int cw_min = 15;
-    int cw_max = 1023;
-    int retry_limit = 7;       ///< unicast retries (broadcast never retries)
     bool use_rts_cts = false;  ///< static RTS/CTS for unicast data
     bool adaptive_rts_cts = false;  ///< §5 heuristic: enable RTS/CTS only
                                     ///< when loss is high despite high RSSI
-    double rts_loss_threshold = 0.4;   ///< loss EWMA that triggers RTS/CTS
-    double rts_snr_threshold_db = 15.0;///< only if SNR is at least this
 
     /// Closed-loop carrier-sense threshold adaptation (defaults to
     /// `fixed`, i.e. off). adaptive_cs_manager reads this per-node

@@ -30,40 +30,37 @@ mac::adaptive_cs_sample busy_sample(double busy) {
     return sample;
 }
 
+constexpr double min_dbm = mac::adaptive_cs_controller::min_threshold_dbm;
+constexpr double max_dbm = mac::adaptive_cs_controller::max_threshold_dbm;
+
 TEST(AdaptiveCsController, ThresholdClampedToConfiguredRange) {
-    auto config = adapt_config(cs_adapt_policy::target_busy);
-    config.min_threshold_dbm = -90.0;
-    config.max_threshold_dbm = -75.0;
-    config.busy_target = 0.5;
-    config.busy_gain_db = 50.0;  // huge gain: every step wants to overshoot
-    mac::adaptive_cs_controller controller(config, -82.0, -65.0, -95.0, 2,
-                                           stats::rng(1));
+    mac::adaptive_cs_controller controller(
+        adapt_config(cs_adapt_policy::target_busy), -82.0, -65.0, -95.0, 2,
+        stats::rng(1));
     // A pegged-busy channel drives the threshold up; it must stop at max.
     for (int i = 0; i < 20; ++i) {
         const double thr = controller.on_epoch(busy_sample(1.0));
-        EXPECT_GE(thr, config.min_threshold_dbm);
-        EXPECT_LE(thr, config.max_threshold_dbm);
+        EXPECT_GE(thr, min_dbm);
+        EXPECT_LE(thr, max_dbm);
     }
-    EXPECT_DOUBLE_EQ(controller.threshold_dbm(), config.max_threshold_dbm);
+    EXPECT_DOUBLE_EQ(controller.threshold_dbm(), max_dbm);
     // A silent channel drives it down; it must stop at min.
-    for (int i = 0; i < 40; ++i) {
+    for (int i = 0; i < 100; ++i) {
         const double thr = controller.on_epoch(busy_sample(0.0));
-        EXPECT_GE(thr, config.min_threshold_dbm);
-        EXPECT_LE(thr, config.max_threshold_dbm);
+        EXPECT_GE(thr, min_dbm);
+        EXPECT_LE(thr, max_dbm);
     }
-    EXPECT_DOUBLE_EQ(controller.threshold_dbm(), config.min_threshold_dbm);
+    EXPECT_DOUBLE_EQ(controller.threshold_dbm(), min_dbm);
 }
 
 TEST(AdaptiveCsController, InitialThresholdClampedToo) {
-    auto config = adapt_config(cs_adapt_policy::aimd);
-    config.min_threshold_dbm = -85.0;
-    config.max_threshold_dbm = -70.0;
+    const auto config = adapt_config(cs_adapt_policy::aimd);
     mac::adaptive_cs_controller low(config, -120.0, -65.0, -95.0, 2,
                                     stats::rng(1));
-    EXPECT_DOUBLE_EQ(low.threshold_dbm(), -85.0);
+    EXPECT_DOUBLE_EQ(low.threshold_dbm(), min_dbm);
     mac::adaptive_cs_controller high(config, -10.0, -65.0, -95.0, 2,
                                      stats::rng(1));
-    EXPECT_DOUBLE_EQ(high.threshold_dbm(), -70.0);
+    EXPECT_DOUBLE_EQ(high.threshold_dbm(), max_dbm);
 }
 
 TEST(AdaptiveCsController, FixedPolicyNeverMoves) {
@@ -83,17 +80,6 @@ TEST(AdaptiveCsController, RejectsBadConfig) {
                                              stats::rng(1)),
                  std::invalid_argument);
     config = adapt_config(cs_adapt_policy::aimd);
-    config.min_threshold_dbm = -60.0;
-    config.max_threshold_dbm = -90.0;
-    EXPECT_THROW(mac::adaptive_cs_controller(config, -82.0, -65.0, -95.0, 2,
-                                             stats::rng(1)),
-                 std::invalid_argument);
-    config = adapt_config(cs_adapt_policy::aimd);
-    config.ewma_weight = 0.0;
-    EXPECT_THROW(mac::adaptive_cs_controller(config, -82.0, -65.0, -95.0, 2,
-                                             stats::rng(1)),
-                 std::invalid_argument);
-    config = adapt_config(cs_adapt_policy::aimd);
     config.jitter_db = -1.0;
     EXPECT_THROW(mac::adaptive_cs_controller(config, -82.0, -65.0, -95.0, 2,
                                              stats::rng(1)),
@@ -101,19 +87,18 @@ TEST(AdaptiveCsController, RejectsBadConfig) {
 }
 
 TEST(AdaptiveCsController, AimdBacksOffOnLoss) {
-    auto config = adapt_config(cs_adapt_policy::aimd);
-    config.ewma_weight = 1.0;  // trust each epoch alone
-    mac::adaptive_cs_controller controller(config, -82.0, -65.0, -95.0, 2,
-                                           stats::rng(1));
-    // Clean epoch: additive raise.
+    mac::adaptive_cs_controller controller(
+        adapt_config(cs_adapt_policy::aimd), -82.0, -65.0, -95.0, 2,
+        stats::rng(1));
+    // Clean epoch: the additive 0.5 dB raise.
     mac::adaptive_cs_sample clean = busy_sample(0.3);
     const double raised = controller.on_epoch(clean);
-    EXPECT_DOUBLE_EQ(raised, -82.0 + config.ai_step_db);
-    // Congested epoch: multiplicative (in dB) back-off.
+    EXPECT_DOUBLE_EQ(raised, -82.0 + 0.5);
+    // Congested epoch (90% loss; its loss EWMA 0.225 passes the 0.15
+    // target): the 3 dB back-off, multiplicative in linear power.
     mac::adaptive_cs_sample lossy = busy_sample(0.3);
     lossy.delivered = 1.0;
-    EXPECT_DOUBLE_EQ(controller.on_epoch(lossy),
-                     raised - config.md_backoff_db);
+    EXPECT_DOUBLE_EQ(controller.on_epoch(lossy), raised - 3.0);
 }
 
 // Fixture: a symmetric two-pair topology; senders 60 m apart, each
@@ -137,14 +122,12 @@ TEST(AdaptiveCsRun, DisabledAdaptationIsByteIdentical) {
     // The camp01/camp02 compatibility contract: policy == fixed must not
     // schedule a single epoch event, so a run is exactly (==, not
     // nearly) the run of a config that never heard of adaptation - even
-    // when every other adaptation knob is set to something wild. Guards
-    // the bench cache keys too: no behaviour change, no key bump.
+    // when every other adaptation knob is set to something wild.
     const auto topology = symmetric_two_pair();
     const auto plain = mac::run_multi_pair(topology, base_config());
     auto wild = base_config();
     wild.adapt.policy = cs_adapt_policy::fixed;
     wild.adapt.epoch_us = 1.0;
-    wild.adapt.busy_gain_db = 1000.0;
     wild.adapt.jitter_db = 50.0;
     const auto same = mac::run_multi_pair(topology, wild);
     ASSERT_EQ(plain.per_pair_pps.size(), same.per_pair_pps.size());
@@ -213,16 +196,15 @@ TEST(AdaptiveCsRun, ThresholdTrajectoryStaysInsideClampRange) {
     const auto topology = symmetric_two_pair();
     auto config = base_config();
     config.adapt.policy = cs_adapt_policy::target_busy;
-    config.adapt.min_threshold_dbm = -88.0;
-    config.adapt.max_threshold_dbm = -72.0;
     const auto run = mac::run_multi_pair(topology, config);
+    ASSERT_FALSE(run.mean_threshold_trajectory_dbm.empty());
     for (const double thr : run.mean_threshold_trajectory_dbm) {
-        EXPECT_GE(thr, config.adapt.min_threshold_dbm);
-        EXPECT_LE(thr, config.adapt.max_threshold_dbm);
+        EXPECT_GE(thr, min_dbm);
+        EXPECT_LE(thr, max_dbm);
     }
     for (const double thr : run.final_cs_threshold_dbm) {
-        EXPECT_GE(thr, config.adapt.min_threshold_dbm);
-        EXPECT_LE(thr, config.adapt.max_threshold_dbm);
+        EXPECT_GE(thr, min_dbm);
+        EXPECT_LE(thr, max_dbm);
     }
 }
 
@@ -252,20 +234,31 @@ TEST(AdaptiveCsManager, RejectsEmptyLinksAndDoubleStart) {
 }
 
 TEST(AdaptiveCsManager, ControllersReadPerNodeConfig) {
-    // The manager must honor each sender's own mac_config::adapt (the
-    // per-node hook), including its clamp range, not a shared config.
+    // The manager must run each sender's own mac_config::adapt (the
+    // per-node hook), not a shared config: a `fixed` sender keeps its
+    // threshold while an `aimd` sender beside it moves.
     mac::network net(mac::radio_config{}, 7);
-    mac::mac_config narrow;
-    narrow.adapt = adapt_config(cs_adapt_policy::aimd);
-    narrow.adapt.min_threshold_dbm = -79.0;
-    narrow.adapt.max_threshold_dbm = -78.0;
-    const auto s = net.add_node(narrow);
-    const auto r = net.add_node(mac::mac_config{});
-    net.set_link_gain_db(s, r, -60.0);
-    mac::adaptive_cs_manager manager(net, {{s, r}}, 1);
+    mac::mac_config steady;
+    steady.adapt = adapt_config(cs_adapt_policy::fixed);
+    mac::mac_config moving;
+    moving.adapt = adapt_config(cs_adapt_policy::aimd);
+    const auto s1 = net.add_node(steady);
+    const auto r1 = net.add_node(mac::mac_config{});
+    const auto s2 = net.add_node(moving);
+    const auto r2 = net.add_node(mac::mac_config{});
+    net.set_link_gain_db(s1, r1, -60.0);
+    net.set_link_gain_db(s2, r2, -60.0);
+    mac::adaptive_cs_manager manager(net, {{s1, r1}, {s2, r2}}, 1);
     manager.start();
-    // The initial install already applies the per-node clamp.
-    EXPECT_DOUBLE_EQ(net.node(s).cs_threshold_dbm(), -79.0);
+    net.run(10.5 * steady.adapt.epoch_us);
+    ASSERT_EQ(manager.epochs(), 10u);
+    const double initial = mac::radio_config{}.cs_threshold_dbm;
+    EXPECT_DOUBLE_EQ(net.node(s1).cs_threshold_dbm(), initial);
+    EXPECT_NE(net.node(s2).cs_threshold_dbm(), initial);
+    const auto thresholds = manager.thresholds_dbm();
+    ASSERT_EQ(thresholds.size(), 2u);
+    EXPECT_DOUBLE_EQ(thresholds[0], initial);
+    EXPECT_DOUBLE_EQ(thresholds[1], net.node(s2).cs_threshold_dbm());
 }
 
 }  // namespace

@@ -55,38 +55,15 @@ TEST(AdaptiveThreshold, MatchesBrentCrossingShadowed) {
     EXPECT_NEAR(fp.d_thresh / brent.d_thresh, 1.0, 1e-4);
 }
 
-TEST(AdaptiveThreshold, UndampedGainStillConverges) {
-    // gain = 1 is the raw Kim & Kim update; the crossing's log-slope is
-    // mild enough that it remains a contraction here.
-    const auto engine = make_engine(0.0);
-    fixed_point_options options;
-    options.gain = 1.0;
-    const auto fp = solve_threshold_fixed_point(engine, 20.0, options);
-    EXPECT_TRUE(fp.converged);
-    EXPECT_NEAR(fp.d_thresh, optimal_threshold(engine, 20.0).d_thresh,
-                1e-3 * fp.d_thresh);
-}
-
 TEST(AdaptiveThreshold, TrajectoryRecordsEveryIterate) {
     const auto engine = make_engine(0.0);
     const auto fp = solve_threshold_fixed_point(engine, 20.0);
     ASSERT_TRUE(fp.converged);
     ASSERT_EQ(fp.trajectory.size(),
               static_cast<std::size_t>(fp.iterations) + 1);
-    // Default start is rmax; the last iterate is the answer.
+    // The iteration starts at rmax; the last iterate is the answer.
     EXPECT_DOUBLE_EQ(fp.trajectory.front(), 20.0);
     EXPECT_DOUBLE_EQ(fp.trajectory.back(), fp.d_thresh);
-}
-
-TEST(AdaptiveThreshold, HonorsInitialPoint) {
-    const auto engine = make_engine(0.0);
-    fixed_point_options options;
-    options.initial_d = 5.0;
-    const auto fp = solve_threshold_fixed_point(engine, 20.0, options);
-    EXPECT_DOUBLE_EQ(fp.trajectory.front(), 5.0);
-    EXPECT_TRUE(fp.converged);
-    EXPECT_NEAR(fp.d_thresh, optimal_threshold(engine, 20.0).d_thresh,
-                1e-3 * fp.d_thresh);
 }
 
 TEST(AdaptiveThreshold, ExtremeLongRangeHasNoFixedPoint) {
@@ -100,22 +77,6 @@ TEST(AdaptiveThreshold, ExtremeLongRangeHasNoFixedPoint) {
 
 TEST(AdaptiveThreshold, RejectsBadOptions) {
     const auto engine = make_engine(0.0);
-    fixed_point_options bad;
-    bad.gain = 0.0;
-    EXPECT_THROW(solve_threshold_fixed_point(engine, 20.0, bad),
-                 std::invalid_argument);
-    bad = {};
-    bad.gain = 1.5;
-    EXPECT_THROW(solve_threshold_fixed_point(engine, 20.0, bad),
-                 std::invalid_argument);
-    bad = {};
-    bad.max_iterations = 0;
-    EXPECT_THROW(solve_threshold_fixed_point(engine, 20.0, bad),
-                 std::invalid_argument);
-    bad = {};
-    bad.log_tolerance = 0.0;
-    EXPECT_THROW(solve_threshold_fixed_point(engine, 20.0, bad),
-                 std::invalid_argument);
     EXPECT_THROW(solve_threshold_fixed_point(engine, 0.0), std::domain_error);
 }
 

@@ -186,14 +186,14 @@ TEST(Mac, ThresholdAsymmetryStarvesTheDeferrer) {
     network net(radio, 21);
     mac_config deaf;
     // The pathology lives in energy CCA: preamble detection has no
-    // calibration offset, so both nodes run pure energy sensing. Close
-    // pairs arrive at -55 dBm; a +40 dB offset (threshold -42 dBm) makes
-    // the miscalibrated node genuinely deaf to them.
+    // calibration error, so both nodes run pure energy sensing. Close
+    // pairs arrive at -55 dBm; a threshold 40 dB too high (-42 dBm)
+    // makes the miscalibrated node genuinely deaf to them.
     deaf.sense = cs_mode::energy;
-    deaf.cs_threshold_offset_db = 40.0;
     mac_config polite;
     polite.sense = cs_mode::energy;
     const auto s1 = net.add_node(deaf);
+    net.node(s1).set_cs_threshold_dbm(-42.0);
     const auto r1 = net.add_node(polite);
     const auto s2 = net.add_node(polite);
     const auto r2 = net.add_node(polite);

@@ -149,6 +149,24 @@ TEST(Unicast, AdaptiveRtsStaysOffOnCleanLink) {
     EXPECT_EQ(u.net.node(u.s1).stats().rts_sent, 0u);
 }
 
+TEST(Unicast, AdaptiveRtsStaysOffOnLowSnrLink) {
+    // §5's trigger needs high loss *and* high RSSI: a link that loses
+    // most frames to its own low SNR gains nothing from RTS/CTS.
+    mac_config cfg;
+    cfg.adaptive_rts_cts = true;
+    unicast_net u(cfg, 44);
+    u.link(u.s1, u.r1, -100.0);  // SNR 10 dB: below 24 Mb/s' waterfall
+    u.net.node(u.s1).set_traffic(traffic_mode::unicast, u.r1,
+                                 rate_by_mbps(24.0), payload);
+    u.net.run(2e6);
+    const auto& stats = u.net.node(u.s1).stats();
+    ASSERT_GT(stats.data_sent, 100u);
+    // Far more than the 40% loss that would trip the trigger on its own.
+    EXPECT_LT(stats.data_acked, stats.data_sent * 3 / 10);
+    EXPECT_FALSE(u.net.node(u.s1).rts_active());
+    EXPECT_EQ(stats.rts_sent, 0u);
+}
+
 TEST(Unicast, AdaptiveRtsImprovesHiddenTerminalGoodput) {
     auto run_with = [](bool adaptive) {
         mac_config cfg;

@@ -119,11 +119,22 @@ TEST(MediumValidation, AdaptiveClampMustStayAboveTheFloor) {
     const auto topology = mac::sample_multi_pair_topology(2, 100.0, 10.0, gen);
     multi_pair_config config;
     config.rate = &rate_by_mbps(6.0);
-    config.radio.audibility_floor_dbm = config.radio.noise_floor_dbm - 20.0;
     config.adapt.policy = cs_adapt_policy::target_busy;
-    config.adapt.min_threshold_dbm = config.radio.audibility_floor_dbm - 5.0;
-    EXPECT_THROW(mac::run_multi_pair(topology, config), std::invalid_argument);
-    config.adapt.min_threshold_dbm = -95.0;  // back above the floor
+    // A floor in [-95, -92) dBm passes the medium's preamble check, but
+    // the controllers' -95 dBm clamp reaches it.
+    ASSERT_EQ(mac::adaptive_cs_controller::min_threshold_dbm, -95.0);
+    for (const double floor : {-95.0, -94.0, -92.5}) {
+        config.radio.audibility_floor_dbm = floor;
+        EXPECT_THROW(mac::run_multi_pair(topology, config),
+                     std::invalid_argument)
+            << "floor " << floor;
+    }
+    config.radio.audibility_floor_dbm = -95.5;  // the clamp clears it
+    EXPECT_NO_THROW(mac::run_multi_pair(topology, config));
+    // A fixed threshold never visits the clamp, so the floor only has
+    // to sit below the radio's thresholds.
+    config.adapt.policy = cs_adapt_policy::fixed;
+    config.radio.audibility_floor_dbm = -94.0;
     EXPECT_NO_THROW(mac::run_multi_pair(topology, config));
 }
 
@@ -134,45 +145,53 @@ TEST(MediumValidation, PerNodeThresholdsMustStayAboveTheFloor) {
     radio_config radio;
     radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;  // -115 dBm
 
-    // A calibration offset that lands the threshold on the floor.
-    network offsets(radio, 1);
-    mac_config on_floor;
-    on_floor.cs_threshold_offset_db =
-        radio.audibility_floor_dbm - radio.cs_threshold_dbm;
-    EXPECT_THROW(offsets.add_node(on_floor), std::invalid_argument);
-    EXPECT_EQ(offsets.node_count(), 0u);
-    EXPECT_EQ(offsets.air().node_count(), 0u);
-    mac_config above;
-    above.cs_threshold_offset_db = on_floor.cs_threshold_offset_db + 1.0;
-    EXPECT_NO_THROW(offsets.add_node(above));
+    // A registration threshold on the floor: refused, nothing registered.
+    {
+        sim::simulator sim;
+        const capacity::logistic_per_model errors;
+        medium air(sim, radio, errors, 1);
+        recorder listener;
+        EXPECT_THROW(air.add_node(listener, radio.audibility_floor_dbm),
+                     std::invalid_argument);
+        EXPECT_EQ(air.node_count(), 0u);
+        EXPECT_EQ(air.add_node(listener, radio.audibility_floor_dbm + 1.0),
+                  0u);
+        EXPECT_DOUBLE_EQ(air.cca_threshold_dbm(0),
+                         radio.audibility_floor_dbm + 1.0);
+    }
 
-    // A hand-built adaptive manager whose clamp pins the threshold under
-    // the floor: its first install is refused and the old one stays.
-    network adaptive(radio, 2);
+    // A hand-built adaptive manager has no up-front clamp check. Under a
+    // floor the -95 dBm clamp reaches, the controller's step below the
+    // floor is refused mid-run and the old threshold stays. On idle air
+    // a lone target_busy sender steps -0.6 dB per epoch from -82 dBm:
+    // epoch 20 lands at -94.0 dBm, epoch 21 at -94.6.
+    radio_config near = radio;
+    near.audibility_floor_dbm = -94.3;
+    network adaptive(near, 2);
     mac_config sender;
     sender.adapt.policy = cs_adapt_policy::target_busy;
-    sender.adapt.min_threshold_dbm = radio.audibility_floor_dbm - 5.0;
-    sender.adapt.max_threshold_dbm = radio.audibility_floor_dbm - 5.0;
     const auto s = adaptive.add_node(sender);
     const auto r = adaptive.add_node(mac_config{});
     adaptive.set_link_gain_db(s, r, -60.0);
     adaptive_cs_manager manager(adaptive, {{s, r}}, 3);
-    EXPECT_THROW(manager.start(), std::invalid_argument);
-    EXPECT_DOUBLE_EQ(adaptive.node(s).cs_threshold_dbm(),
-                     radio.cs_threshold_dbm);
+    manager.start();
+    EXPECT_THROW(adaptive.run(40.0 * sender.adapt.epoch_us),
+                 std::invalid_argument);
+    EXPECT_EQ(manager.epochs(), 20u);
+    EXPECT_NEAR(adaptive.node(s).cs_threshold_dbm(), -94.0, 1e-9);
 
     // Direct overrides: at the floor refused, just above accepted.
     EXPECT_THROW(adaptive.node(s).set_cs_threshold_dbm(
-                     radio.audibility_floor_dbm),
+                     near.audibility_floor_dbm),
                  std::invalid_argument);
     EXPECT_NO_THROW(adaptive.node(s).set_cs_threshold_dbm(
-        radio.audibility_floor_dbm + 0.5));
+        near.audibility_floor_dbm + 0.5));
     EXPECT_DOUBLE_EQ(adaptive.node(s).cs_threshold_dbm(),
-                     radio.audibility_floor_dbm + 0.5);
+                     near.audibility_floor_dbm + 0.5);
 
     // Without a floor any threshold is legal.
     network dense(radio_config{}, 4);
-    const auto d = dense.add_node(on_floor);
+    const auto d = dense.add_node(mac_config{});
     EXPECT_NO_THROW(dense.node(d).set_cs_threshold_dbm(-130.0));
 }
 

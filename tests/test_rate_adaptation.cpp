@@ -11,11 +11,16 @@ namespace {
 using namespace csense::capacity;
 
 TEST(Arf, ClimbsOnSuccess) {
-    arf adapt(ofdm_rates(), 3, 2);
+    constexpr int up = arf::successes_to_climb;
+    arf adapt;
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 6.0);
-    for (int i = 0; i < 3; ++i) adapt.report(adapt.next_rate(), true, 100.0);
+    for (int i = 0; i < up - 1; ++i) {
+        adapt.report(adapt.next_rate(), true, 100.0);
+    }
+    EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 6.0);  // one success short
+    adapt.report(adapt.next_rate(), true, 100.0);
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 9.0);
-    for (int i = 0; i < 3 * 6; ++i) adapt.report(adapt.next_rate(), true, 100.0);
+    for (int i = 0; i < up * 6; ++i) adapt.report(adapt.next_rate(), true, 100.0);
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 54.0);
     // Saturates at the top.
     for (int i = 0; i < 10; ++i) adapt.report(adapt.next_rate(), true, 100.0);
@@ -23,10 +28,16 @@ TEST(Arf, ClimbsOnSuccess) {
 }
 
 TEST(Arf, FallsOnFailure) {
-    arf adapt(ofdm_rates(), 3, 2);
-    for (int i = 0; i < 6; ++i) adapt.report(adapt.next_rate(), true, 100.0);
+    constexpr int down = arf::failures_to_fall;
+    arf adapt;
+    for (int i = 0; i < 2 * arf::successes_to_climb; ++i) {
+        adapt.report(adapt.next_rate(), true, 100.0);
+    }
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 12.0);
-    adapt.report(adapt.next_rate(), false, 100.0);
+    for (int i = 0; i < down - 1; ++i) {
+        adapt.report(adapt.next_rate(), false, 100.0);
+    }
+    EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 12.0);  // one failure short
     adapt.report(adapt.next_rate(), false, 100.0);
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 9.0);
     // Never below the floor.
@@ -35,17 +46,20 @@ TEST(Arf, FallsOnFailure) {
 }
 
 TEST(Arf, MixedTrafficResetsCounters) {
-    arf adapt(ofdm_rates(), 3, 2);
-    // success, success, fail, ... never 3 in a row: stays at the bottom.
-    for (int i = 0; i < 30; ++i) {
-        adapt.report(adapt.next_rate(), (i % 3) != 2, 100.0);
+    arf adapt;
+    // One failure after every successes_to_climb - 1 successes: never a
+    // full run of successes, so it stays at the bottom.
+    for (int i = 0; i < 30 * arf::successes_to_climb; ++i) {
+        adapt.report(adapt.next_rate(),
+                     (i % arf::successes_to_climb) !=
+                         arf::successes_to_climb - 1,
+                     100.0);
     }
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 6.0);
 }
 
 TEST(Arf, RejectsBadConfig) {
-    EXPECT_THROW(arf({}, 3, 2), std::invalid_argument);
-    EXPECT_THROW(arf(ofdm_rates(), 0, 2), std::invalid_argument);
+    EXPECT_THROW(arf(std::vector<phy_rate>{}), std::invalid_argument);
 }
 
 TEST(SampleRate, ConvergesToBestRateUnderLossProfile) {
